@@ -8,8 +8,8 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._accel import resample_fir
 from .errors import CorruptHeaderError, SignalTooShortError, UnsupportedFormatError
 
 CANONICAL_RATE = 16000
@@ -107,7 +107,16 @@ def _design_lowpass(up: int, down: int) -> np.ndarray:
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
-    """Windowed-sinc polyphase resampling; identity is a bit-exact copy."""
+    """Windowed-sinc polyphase resampling; identity is a bit-exact copy.
+
+    Equivalent to zero-stuffing by ``up``, convolving with the lowpass ``h``
+    and keeping every ``down``-th sample, without building the stuffed
+    signal: output ``m`` lands on upsampled index ``u = m*down + delay``,
+    where only the taps ``h[u % up :: up]`` meet nonzero input, namely the
+    ``k`` samples ending at ``x[u // up]``. With ``up`` and ``down`` coprime,
+    the outputs ``m0::up`` share one phase and read input windows ``down``
+    apart, so each phase is one matmul over a strided window view.
+    """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == w.sample_rate:
@@ -118,7 +127,21 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     h = _design_lowpass(up, down)
     delay = (len(h) - 1) // 2
     n_out = int(round(len(w.samples) * up / down))
-    y = resample_fir(w.samples, h, up, down, n_out, delay)
+    k = -(-len(h) // up)
+    phases = np.zeros(k * up)
+    phases[: len(h)] = h
+    # row p holds h[p::up] reversed, to dot with an input window in time order
+    phases = np.ascontiguousarray(phases.reshape(k, up).T[:, ::-1])
+    last = ((n_out - 1) * down + delay) // up
+    x = np.concatenate(
+        [np.zeros(k - 1), w.samples, np.zeros(max(last + 1 - len(w.samples), 0))]
+    )
+    windows = sliding_window_view(x, k)  # windows[i] ends at input sample i
+    y = np.empty(n_out)
+    for m0 in range(min(up, n_out)):
+        u0 = m0 * down + delay
+        count = len(range(m0, n_out, up))
+        y[m0::up] = windows[u0 // up :: down][:count] @ phases[u0 % up]
     return Waveform(y, target_rate)
 
 

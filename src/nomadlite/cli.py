@@ -187,6 +187,7 @@ def _cmd_score(args) -> int:
         if not refs:
             raise NomadError(f"no WAV files in {pool_dir}")
         pool = scoring.ReferencePool([canonical(r) for r in refs], pool_id=pool_dir.name)
+        pool.embeddings(model)  # fill the cache once, before any worker reads it
 
         def score_one(clip):
             return scoring.ScoreRow(str(clip), scoring.pooled_score(model, canonical(clip), pool),

@@ -16,8 +16,8 @@ import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._accel import conv1d_backward, conv1d_forward
 from .audio_core import Spectrogram
 from .errors import BandMismatchError, CorruptCheckpointError
 
@@ -91,6 +91,26 @@ def init_model(cfg: EncoderConfig) -> EmbeddingModel:
     return EmbeddingModel(np.concatenate(parts).astype(np.float32), cfg)
 
 
+def _conv1d_forward(x, w, b, stride):
+    """Valid 1-d convolution over time. x: (C_in, T), w: (C_out, C_in, K)."""
+    win = sliding_window_view(x, w.shape[2], axis=1)[:, ::stride, :]
+    return np.einsum("oik,itk->ot", w, win, optimize=True) + b[:, None]
+
+
+def _conv1d_backward(x, w, stride, gy):
+    """Gradients of _conv1d_forward wrt input, weights, and bias."""
+    k = w.shape[2]
+    win = sliding_window_view(x, k, axis=1)[:, ::stride, :]
+    gw = np.einsum("ot,itk->oik", gy, win, optimize=True)
+    gb = gy.sum(axis=1)
+    gx = np.zeros_like(x)
+    tmp = np.einsum("ot,oik->itk", gy, w, optimize=True)
+    t_out = gy.shape[1]
+    for kk in range(k):
+        gx[:, kk : kk + stride * t_out : stride] += tmp[:, :, kk]
+    return gx, gw, gb
+
+
 def _unpack(theta: np.ndarray, cfg: EncoderConfig):
     layers = []
     i = 0
@@ -122,7 +142,7 @@ def _forward(theta: np.ndarray, cfg: EncoderConfig, values: np.ndarray):
     acts = []     # post-ReLU conv outputs
     for w, b in layers:
         xs.append(x)
-        z = conv1d_forward(x, w, b, cfg.stride)
+        z = _conv1d_forward(x, w, b, cfg.stride)
         x = np.maximum(z, 0.0)
         acts.append(x)
     t_last = x.shape[1]
@@ -158,7 +178,7 @@ def _backward(cache, cfg: EncoderConfig, grad_e: np.ndarray, layer_grads=None,
     for l in range(len(cache["layers"]) - 1, -1, -1):
         w, _b = cache["layers"][l]
         gz = g_act * (cache["acts"][l] > 0)
-        gx, gw, gb = conv1d_backward(cache["xs"][l], w, cfg.stride, gz)
+        gx, gw, gb = _conv1d_backward(cache["xs"][l], w, cfg.stride, gz)
         grads[l] = (gw, gb)
         g_act = gx
         if l > 0 and layer_grads is not None and layer_grads[l - 1] is not None:

@@ -10,8 +10,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._accel import patch_stats
 from .audio_core import Spectrogram, SpectrogramConfig, Waveform, log_band_spectrogram
 from .errors import PatchTooLargeError, ShapeMismatchError
 
@@ -42,6 +42,19 @@ class NsimScore:
     max_excursion: float = 0.0  # largest pre-clamp overshoot beyond [0, 1]
 
 
+def _patch_stats(ref, deg, pt, pb):
+    """Per-patch population mean/var/cov over all pt x pb windows (stride 1)."""
+    n = pt * pb
+    wr = sliding_window_view(ref, (pt, pb))
+    wd = sliding_window_view(deg, (pt, pb))
+    mu_r = wr.mean(axis=(2, 3))
+    mu_d = wd.mean(axis=(2, 3))
+    var_r = (wr * wr).sum(axis=(2, 3)) / n - mu_r * mu_r
+    var_d = (wd * wd).sum(axis=(2, 3)) / n - mu_d * mu_d
+    cov = (wr * wd).sum(axis=(2, 3)) / n - mu_r * mu_d
+    return mu_r, mu_d, var_r, var_d, cov
+
+
 def nsim(ref: Spectrogram, deg: Spectrogram, cfg: NsimConfig | None = None) -> NsimScore:
     cfg = cfg or NsimConfig()
     r = ref.values
@@ -61,7 +74,7 @@ def nsim(ref: Spectrogram, deg: Spectrogram, cfg: NsimConfig | None = None) -> N
         shape = (r.shape[0] - cfg.patch_t + 1, r.shape[1] - cfg.patch_b + 1)
         return NsimScore(q, np.full(shape, q))
 
-    mu_r, mu_d, var_r, var_d, cov = patch_stats(r, d, cfg.patch_t, cfg.patch_b)
+    mu_r, mu_d, var_r, var_d, cov = _patch_stats(r, d, cfg.patch_t, cfg.patch_b)
     sig_r = np.sqrt(np.maximum(var_r, 0.0))
     sig_d = np.sqrt(np.maximum(var_d, 0.0))
     c1 = cfg.c1_scale * L

@@ -36,8 +36,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.margin, self.batch_size, self.lr, self.lr_decay,
-               self.decay_interval, self.patience) < 0:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if min(self.margin, self.lr, self.lr_decay, self.decay_interval, self.patience) < 0:
             raise ValueError("config values must be nonnegative")
         if self.patience > self.max_epochs and self.max_epochs > 0:
             log.warning("patience %d exceeds max_epochs %d", self.patience, self.max_epochs)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nomadlite.audio_core import (
     SpectrogramConfig,
+    _design_lowpass,
     Waveform,
     load_wav,
     log_band_spectrogram,
@@ -22,6 +23,20 @@ def write_raw_wav(path, pcm_bytes, channels=1, sampwidth=2, rate=16000):
         f.setsampwidth(sampwidth)
         f.setframerate(rate)
         f.writeframes(pcm_bytes)
+
+
+def zero_stuff_reference(x, rate, target):
+    """Resampling as defined: insert up-1 zeros after each sample, convolve
+    with the package's lowpass and keep every down-th sample from the group
+    delay on."""
+    g = np.gcd(rate, target)
+    up, down = target // g, rate // g
+    h = _design_lowpass(up, down)
+    stuffed = np.zeros(len(x) * up)
+    stuffed[::up] = x
+    full = np.convolve(stuffed, h)
+    n_out = round(len(x) * up / down)
+    return full[np.arange(n_out) * down + (len(h) - 1) // 2]
 
 
 class TestLoadWav:
@@ -98,6 +113,25 @@ class TestResample:
         w = Waveform(np.random.default_rng(3).uniform(-0.5, 0.5, 16000), 16000)
         out = resample(w, 48000)
         assert abs(len(out.samples) - 48000) <= 1
+
+    @pytest.mark.parametrize("rate", [44100, 22050, 8000, 24000])
+    def test_to_canonical_length(self, rate):
+        for n in (1000, 4411, 7919):
+            out = resample(Waveform(np.ones(n) * 0.1, rate), 16000)
+            assert len(out.samples) == round(n * 16000 / rate)
+
+    @pytest.mark.parametrize("rate", [44100, 22050, 8000, 24000])
+    def test_to_canonical_keeps_sine_amplitude(self, rate):
+        t = np.arange(int(0.25 * rate)) / rate
+        out = resample(Waveform(0.5 * np.sin(2 * np.pi * 1000 * t), rate), 16000)
+        mid = out.samples[len(out.samples) // 4 : 3 * len(out.samples) // 4]
+        assert abs(np.max(np.abs(mid)) - 0.5) < 0.005
+
+    @pytest.mark.parametrize("rate", [44100, 22050, 8000, 24000])
+    def test_to_canonical_matches_direct_formula(self, rate):
+        x = np.random.default_rng(rate).uniform(-1, 1, int(0.02 * rate))
+        out = resample(Waveform(x, rate), 16000)
+        assert np.max(np.abs(out.samples - zero_stuff_reference(x, rate, 16000))) < 1e-12
 
     def test_bad_rate(self):
         w = Waveform(np.zeros(10), 16000)

@@ -44,6 +44,12 @@ class TestParser:
         assert args.batch == 8
         assert args.lr == 1e-3
 
+    def test_train_batch_zero_exit_one(self, tmp_path, capsys):
+        assert main(["--quiet", "train", "--triplets", str(tmp_path / "t.csv"),
+                     "--val", str(tmp_path / "v.csv"), "--batch", "0",
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert "batch_size" in capsys.readouterr().err
+
     def test_missing_input_file_exit_one(self, tmp_path):
         assert main(["--quiet", "nsim", "--ref", str(tmp_path / "no.wav"),
                      "--deg", str(tmp_path / "no.wav")]) == 1
@@ -194,3 +200,26 @@ class TestPipeline:
         assert rc == 0
         for p in sorted(data.glob("*.wav")):
             assert (again / p.name).read_bytes() == p.read_bytes()
+
+    def test_synth_jobs_match_serial(self, pipeline, tmp_path):
+        root, clean, data, ckpt = pipeline
+        parallel = tmp_path / "parallel"
+        rc = main(["--quiet", "--seed", "7", "synth", "--clean-dir", str(clean),
+                   "--out", str(parallel), "--families", "clip,noise", "--jobs", "2"])
+        assert rc == 0
+        # manifest rows hold the output directory; everything else must match
+        manifest = (parallel / "manifest.csv").read_text().replace(str(parallel), str(data))
+        assert manifest == (data / "manifest.csv").read_text()
+        for p in sorted(data.glob("*.wav")):
+            assert (parallel / p.name).read_bytes() == p.read_bytes()
+
+    def test_score_jobs_match_serial(self, pipeline, tmp_path):
+        root, clean, data, ckpt = pipeline
+        outs = {}
+        for jobs in ("1", "2"):
+            outs[jobs] = tmp_path / f"scores_j{jobs}.csv"
+            rc = main(["--quiet", "score", "--model", str(ckpt), "--input-dir", str(data),
+                       "--pool-dir", str(clean), "--mode", "nmr", "--out", str(outs[jobs]),
+                       "--jobs", jobs])
+            assert rc == 0
+        assert outs["2"].read_bytes() == outs["1"].read_bytes()

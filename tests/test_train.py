@@ -47,6 +47,13 @@ def make_records(sources, per_source, seed=0):
     return records, mapping
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=batch_size)
+
+
 class TestTrainEpoch:
     def test_zero_lr_is_noop(self):
         model = init_model(TINY)
