@@ -4,6 +4,7 @@ Canonical sample rate is 16 kHz: every spectrogram-producing entry point
 resamples its input first.
 """
 
+import functools
 import wave
 from dataclasses import dataclass
 
@@ -145,7 +146,18 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     return Waveform(y, target_rate)
 
 
+@functools.lru_cache(maxsize=None)
+def _hann(n: int) -> np.ndarray:
+    """Read-only Hann window, built once per length."""
+    win = np.hanning(n)
+    win.flags.writeable = False
+    return win
+
+
+@functools.lru_cache(maxsize=None)
 def _mel_filterbank(bands: int, nfft: int, sr: int, fmin: float, fmax: float) -> np.ndarray:
+    """Read-only triangular mel filterbank (bands, nfft // 2 + 1), built once
+    per configuration."""
     def hz_to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
 
@@ -160,6 +172,7 @@ def _mel_filterbank(bands: int, nfft: int, sr: int, fmin: float, fmax: float) ->
         rising = (freqs - lo) / max(mid - lo, 1e-12)
         falling = (hi - freqs) / max(hi - mid, 1e-12)
         fb[j] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
+    fb.flags.writeable = False
     return fb
 
 
@@ -174,8 +187,7 @@ def log_band_spectrogram(w: Waveform, cfg: SpectrogramConfig | None = None) -> S
             f"signal of {len(x)} samples shorter than window {cfg.window}"
         )
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window)[:: cfg.hop]
-    win = np.hanning(cfg.window)
-    spec = np.fft.rfft(frames * win, axis=1)
+    spec = np.fft.rfft(frames * _hann(cfg.window), axis=1)
     power = spec.real**2 + spec.imag**2
     fb = _mel_filterbank(cfg.bands, cfg.window, cfg.sample_rate, cfg.fmin, cfg.fmax)
     band_power = power @ fb.T

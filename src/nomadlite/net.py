@@ -4,6 +4,9 @@ Architecture: a stack of valid temporal convolutions (ReLU, stride 2) over
 the 32-band log-mel spectrogram, temporal mean pooling, ReLU, an affine head,
 and L2 normalization to a 256-d embedding.
 
+The encoder runs on a stack of equal-length clips, laid out (N, T, C) from
+input to pooling; each conv is one GEMM per kernel tap over all N clips.
+
 Parameters live in one flat float32 vector. Layout, in order: for each conv
 layer its weight (C_out, C_in, K) then bias (C_out); then the head weight
 (embed_dim, C_last) and head bias (embed_dim). All arithmetic is float64;
@@ -16,7 +19,6 @@ import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_core import Spectrogram
 from .errors import BandMismatchError, CorruptCheckpointError
@@ -92,22 +94,32 @@ def init_model(cfg: EncoderConfig) -> EmbeddingModel:
 
 
 def _conv1d_forward(x, w, b, stride):
-    """Valid 1-d convolution over time. x: (C_in, T), w: (C_out, C_in, K)."""
-    win = sliding_window_view(x, w.shape[2], axis=1)[:, ::stride, :]
-    return np.einsum("oik,itk->ot", w, win, optimize=True) + b[:, None]
+    """Valid strided 1-d convolution over time, one GEMM per tap over all
+    clips. x: (N, T, C_in), w: (C_out, C_in, K); returns (N, T_out, C_out)."""
+    k_taps = w.shape[2]
+    t_out = (x.shape[1] - k_taps) // stride + 1
+    z = np.empty((x.shape[0], t_out, w.shape[0]))
+    z[...] = b
+    for k in range(k_taps):
+        z += x[:, k::stride][:, :t_out] @ w[:, :, k].T
+    return z
 
 
-def _conv1d_backward(x, w, stride, gy):
-    """Gradients of _conv1d_forward wrt input, weights, and bias."""
-    k = w.shape[2]
-    win = sliding_window_view(x, k, axis=1)[:, ::stride, :]
-    gw = np.einsum("ot,itk->oik", gy, win, optimize=True)
-    gb = gy.sum(axis=1)
-    gx = np.zeros_like(x)
-    tmp = np.einsum("ot,oik->itk", gy, w, optimize=True)
-    t_out = gy.shape[1]
-    for kk in range(k):
-        gx[:, kk : kk + stride * t_out : stride] += tmp[:, :, kk]
+def _conv1d_backward(x, w, stride, gz, want_gx):
+    """Gradients of _conv1d_forward wrt weights, bias and (if want_gx)
+    input, given gz: (N, T_out, C_out)."""
+    k_taps = w.shape[2]
+    t_out = gz.shape[1]
+    gzt = gz.transpose(0, 2, 1)
+    gw = np.empty_like(w)
+    for k in range(k_taps):
+        gw[:, :, k] = (gzt @ x[:, k::stride][:, :t_out]).sum(axis=0)
+    gb = gz.sum(axis=(0, 1))
+    gx = None
+    if want_gx:
+        gx = np.zeros_like(x)
+        for k in range(k_taps):
+            gx[:, k::stride][:, :t_out] += gz @ w[:, :, k]
     return gx, gw, gb
 
 
@@ -128,77 +140,80 @@ def _unpack(theta: np.ndarray, cfg: EncoderConfig):
     return layers, wh, bh
 
 
-def _forward(theta: np.ndarray, cfg: EncoderConfig, values: np.ndarray):
-    """Forward pass from a (T, bands) spectrogram matrix; returns (embedding,
-    cache for backprop)."""
-    if values.shape[1] != cfg.bands:
-        raise BandMismatchError(f"expected {cfg.bands} bands, got {values.shape[1]}")
-    x = np.ascontiguousarray(values.T, dtype=np.float64)
-    orig_t = x.shape[1]
-    if orig_t < cfg.min_frames:
-        x = np.pad(x, ((0, 0), (0, cfg.min_frames - orig_t)))
+def _forward(theta: np.ndarray, cfg: EncoderConfig, values_list):
+    """Forward pass over N equal-length (T, bands) spectrogram matrices,
+    stacked to (N, T, bands) and zero-padded in time up to min_frames;
+    returns ((N, embed_dim) embeddings, cache for backprop)."""
+    for v in values_list:
+        if v.shape[1] != cfg.bands:
+            raise BandMismatchError(f"expected {cfg.bands} bands, got {v.shape[1]}")
+    x = np.stack(values_list).astype(np.float64, copy=False)
+    if x.shape[1] < cfg.min_frames:
+        x = np.pad(x, ((0, 0), (0, cfg.min_frames - x.shape[1]), (0, 0)))
     layers, wh, bh = _unpack(theta, cfg)
-    xs = []       # conv inputs
-    acts = []     # post-ReLU conv outputs
+    xs = [x]  # conv inputs, then the last post-ReLU conv output
     for w, b in layers:
-        xs.append(x)
-        z = _conv1d_forward(x, w, b, cfg.stride)
-        x = np.maximum(z, 0.0)
-        acts.append(x)
-    t_last = x.shape[1]
-    pooled = x.mean(axis=1)
+        z = _conv1d_forward(xs[-1], w, b, cfg.stride)
+        xs.append(np.maximum(z, 0.0, out=z))
+    pooled = xs[-1].mean(axis=1)
     hrelu = np.maximum(pooled, 0.0)
-    z_head = wh @ hrelu + bh
-    norm = max(float(np.linalg.norm(z_head)), NORM_EPS)
+    z_head = hrelu @ wh.T + bh
+    norm = np.maximum(np.linalg.norm(z_head, axis=1), NORM_EPS)[:, None]
     e = z_head / norm
     cache = {
-        "layers": layers, "wh": wh, "bh": bh, "xs": xs, "acts": acts,
-        "t_last": t_last, "pooled": pooled, "hrelu": hrelu, "norm": norm,
-        "e": e, "orig_t": orig_t,
+        "layers": layers, "wh": wh, "xs": xs, "pooled": pooled,
+        "hrelu": hrelu, "norm": norm, "e": e,
     }
     return e, cache
 
 
+def _select(cache, rows):
+    """Shrink a batch's cache in place to the clips at ``rows``; each cached
+    array is freed as soon as its subset is taken."""
+    for key in ("pooled", "hrelu", "norm", "e"):
+        cache[key] = cache[key][rows]
+    xs = cache["xs"]
+    for i in range(len(xs)):
+        xs[i] = xs[i][rows]
+
+
 def _backward(cache, cfg: EncoderConfig, grad_e: np.ndarray, layer_grads=None,
               want_input_grad: bool = False):
-    """Backprop through the full composition. layer_grads optionally injects
-    extra gradients on each post-ReLU conv activation (used by the feature
-    loss). Returns (flat parameter gradient, input gradient or None)."""
-    e, norm = cache["e"], cache["norm"]
-    gz_head = (grad_e - e * float(e @ grad_e)) / norm
-    g_bh = gz_head
-    g_wh = np.outer(gz_head, cache["hrelu"])
-    g_hrelu = cache["wh"].T @ gz_head
-    g_pooled = g_hrelu * (cache["pooled"] > 0)
-    g_act = np.repeat(g_pooled[:, None] / cache["t_last"], cache["t_last"], axis=1)
-    if layer_grads is not None and layer_grads[-1] is not None:
-        g_act = g_act + layer_grads[-1]
+    """Backprop (N, embed_dim) embedding gradients through the batch, summing
+    parameter gradients over clips. layer_grads optionally injects extra
+    gradients on each post-ReLU conv activation (used by the feature loss).
+    Returns (flat parameter gradient, input gradient over the padded
+    (N, T, bands) batch or None)."""
+    e, norm, xs = cache["e"], cache["norm"], cache["xs"]
+    gz_head = (grad_e - e * np.sum(e * grad_e, axis=1, keepdims=True)) / norm
+    g_bh = gz_head.sum(axis=0)
+    g_wh = gz_head.T @ cache["hrelu"]
+    g_pooled = (gz_head @ cache["wh"]) * (cache["pooled"] > 0)
+    t_last = xs[-1].shape[1]
+    g_act = np.repeat((g_pooled / t_last)[:, None, :], t_last, axis=1)
 
     grads = [None] * len(cache["layers"])
     for l in range(len(cache["layers"]) - 1, -1, -1):
+        if layer_grads is not None and layer_grads[l] is not None:
+            g_act += layer_grads[l]
+        g_act *= xs[l + 1] > 0
         w, _b = cache["layers"][l]
-        gz = g_act * (cache["acts"][l] > 0)
-        gx, gw, gb = _conv1d_backward(cache["xs"][l], w, cfg.stride, gz)
+        g_act, gw, gb = _conv1d_backward(xs[l], w, cfg.stride, g_act,
+                                         want_gx=l > 0 or want_input_grad)
         grads[l] = (gw, gb)
-        g_act = gx
-        if l > 0 and layer_grads is not None and layer_grads[l - 1] is not None:
-            g_act = g_act + layer_grads[l - 1]
 
     flat = np.concatenate(
         [np.concatenate([gw.ravel(), gb]) for gw, gb in grads]
         + [g_wh.ravel(), g_bh]
     )
-    input_grad = None
-    if want_input_grad:
-        input_grad = g_act[:, : cache["orig_t"]].T.copy()  # back to (T, bands)
-    return flat, input_grad
+    return flat, g_act
 
 
 def embed(model: EmbeddingModel, spec: Spectrogram) -> np.ndarray:
     """L2-normalized embedding of one spectrogram."""
     theta = model.parameters.astype(np.float64)
-    e, _ = _forward(theta, model.config, spec.values)
-    return e
+    e, _ = _forward(theta, model.config, [spec.values])
+    return e[0]
 
 
 def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, m: float) -> float:
@@ -211,29 +226,49 @@ def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, m: float) ->
 
 def loss_and_gradients(model: EmbeddingModel, batch, m: float):
     """Mean triplet loss over a batch of (anchor, positive, negative)
-    spectrogram triples, and its analytic gradient in parameter layout."""
+    spectrogram triples, and its analytic gradient in parameter layout.
+
+    Each distinct clip (by object identity) is embedded once: clips are
+    bucketed by frame count and each bucket takes one batched forward and one
+    batched backward over those of its clips that have a nonzero gradient."""
     if not batch:
         raise ValueError("batch must be nonempty")
     theta = model.parameters.astype(np.float64)
     cfg = model.config
-    total = 0.0
+    specs = list({id(s): s for triple in batch for s in triple}.values())
+    index = {id(s): i for i, s in enumerate(specs)}
+    buckets: dict[int, list[int]] = {}
+    for i, spec in enumerate(specs):
+        buckets.setdefault(spec.values.shape[0], []).append(i)
+
+    emb = np.empty((len(specs), cfg.embed_dim))
+    caches = []
+    for members in buckets.values():
+        emb[members], cache = _forward(theta, cfg, [specs[i].values for i in members])
+        caches.append((members, cache))
+
+    ia, ip, ineg = np.array(
+        [[index[id(s)] for s in triple] for triple in batch]).T
+    e_a, e_p, e_n = emb[ia], emb[ip], emb[ineg]
+    hinge = np.sum((e_a - e_p) ** 2, axis=1) - np.sum((e_a - e_n) ** 2, axis=1) + m
+    active = hinge > 0
+    grad_e = np.zeros_like(emb)
+    np.add.at(grad_e, ia[active], 2.0 * (e_n - e_p)[active])
+    np.add.at(grad_e, ip[active], -2.0 * (e_a - e_p)[active])
+    np.add.at(grad_e, ineg[active], 2.0 * (e_a - e_n)[active])
+
     grad = np.zeros(cfg.param_count)
-    for spec_a, spec_p, spec_n in batch:
-        e_a, cache_a = _forward(theta, cfg, spec_a.values)
-        e_p, cache_p = _forward(theta, cfg, spec_p.values)
-        e_n, cache_n = _forward(theta, cfg, spec_n.values)
-        d_ap = float(np.sum((e_a - e_p) ** 2))
-        d_an = float(np.sum((e_a - e_n) ** 2))
-        hinge = d_ap - d_an + m
-        if hinge <= 0:
+    for members, cache in caches:
+        g = grad_e[members]
+        rows = np.flatnonzero(g.any(axis=1))
+        if len(rows) == 0:
             continue
-        total += hinge
-        g_a, _ = _backward(cache_a, cfg, 2.0 * (e_n - e_p))
-        g_p, _ = _backward(cache_p, cfg, -2.0 * (e_a - e_p))
-        g_n, _ = _backward(cache_n, cfg, 2.0 * (e_a - e_n))
-        grad += g_a + g_p + g_n
+        if len(rows) < len(members):
+            _select(cache, rows)
+            g = g[rows]
+        grad += _backward(cache, cfg, g)[0]
     n = len(batch)
-    return total / n, grad / n
+    return float(np.sum(hinge[active])) / n, grad / n
 
 
 def save_checkpoint(model: EmbeddingModel, path) -> None:

@@ -66,12 +66,12 @@ def feature_loss_spec(model: EmbeddingModel, clean_values: np.ndarray, est_value
     between the final embeddings. Returns (loss, gradient wrt est_values)."""
     theta = model.parameters.astype(np.float64)
     cfg = model.config
-    e_c, cache_c = _forward(theta, cfg, clean_values)
-    e_e, cache_e = _forward(theta, cfg, est_values)
+    e_c, cache_c = _forward(theta, cfg, [clean_values])
+    e_e, cache_e = _forward(theta, cfg, [est_values])
 
     loss = 0.0
     layer_grads = []
-    for a_c, a_e in zip(cache_c["acts"], cache_e["acts"]):
+    for a_c, a_e in zip(cache_c["xs"][1:], cache_e["xs"][1:]):
         t = min(a_c.shape[1], a_e.shape[1])
         diff = a_e[:, :t] - a_c[:, :t]
         loss += float(np.sum(np.abs(diff))) / t
@@ -84,6 +84,7 @@ def feature_loss_spec(model: EmbeddingModel, clean_values: np.ndarray, est_value
     _, input_grad = _backward(
         cache_e, cfg, np.sign(emb_diff), layer_grads=layer_grads, want_input_grad=True
     )
+    input_grad = input_grad[0, : len(est_values)]  # drop min_frames padding
     return loss, input_grad
 
 

@@ -38,7 +38,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if min(self.margin, self.lr, self.lr_decay, self.decay_interval, self.patience) < 0:
+        if self.decay_interval < 1:
+            raise ValueError(f"decay_interval must be >= 1, got {self.decay_interval}")
+        if min(self.margin, self.lr, self.lr_decay, self.patience) < 0:
             raise ValueError("config values must be nonnegative")
         if self.patience > self.max_epochs and self.max_epochs > 0:
             log.warning("patience %d exceeds max_epochs %d", self.patience, self.max_epochs)
@@ -104,11 +106,14 @@ def validate(model: EmbeddingModel, triples, margin: float) -> float:
     """Mean triplet loss without parameter updates."""
     if not triples:
         raise DataError("no validation triplets")
+    emb = {}  # one embedding per distinct clip, keyed by object identity
+    for triple in triples:
+        for spec in triple:
+            if id(spec) not in emb:
+                emb[id(spec)] = embed(model, spec)
     total = 0.0
     for spec_a, spec_p, spec_n in triples:
-        total += triplet_loss(
-            embed(model, spec_a), embed(model, spec_p), embed(model, spec_n), margin
-        )
+        total += triplet_loss(emb[id(spec_a)], emb[id(spec_p)], emb[id(spec_n)], margin)
     return total / len(triples)
 
 

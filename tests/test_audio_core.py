@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from nomadlite.audio_core import (
     SpectrogramConfig,
     _design_lowpass,
+    _hann,
+    _mel_filterbank,
     Waveform,
     load_wav,
     log_band_spectrogram,
@@ -190,3 +192,18 @@ class TestSpectrogram:
         w = Waveform(np.random.default_rng(8).uniform(-0.5, 0.5, 16000), 16000)
         s = log_band_spectrogram(w, SpectrogramConfig(bands=16))
         assert s.values.shape[1] == 16
+
+    def test_cached_tables_are_read_only_and_exact(self):
+        cfg = SpectrogramConfig()
+        args = (cfg.bands, cfg.window, cfg.sample_rate, cfg.fmin, cfg.fmax)
+        log_band_spectrogram(Waveform(np.zeros(16000), 16000), cfg)
+        fb = _mel_filterbank(*args)
+        assert _mel_filterbank(*args) is fb
+        assert not fb.flags.writeable
+        assert np.array_equal(fb, _mel_filterbank.__wrapped__(*args))
+        win = _hann(cfg.window)
+        assert _hann(cfg.window) is win
+        assert not win.flags.writeable
+        assert np.array_equal(win, np.hanning(cfg.window))
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0

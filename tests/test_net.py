@@ -112,6 +112,31 @@ class TestEmbed:
             embed(m, random_spec(np.random.default_rng(4), 20, 3))
 
 
+def max_fd_error(batch):
+    """Worst relative gap between the analytic gradient and central
+    differences over every coordinate of the tiny model."""
+    model = init_model(TINY)
+    m = 1.0  # large margin keeps every hinge active and smooth
+    theta0 = model.parameters.astype(np.float64)
+    _, grad = loss_and_gradients(model, batch, m)
+
+    def loss_at(theta):
+        probe = EmbeddingModel(theta.astype(np.float32), TINY)
+        probe.parameters = theta  # keep float64 for the FD probe
+        return loss_and_gradients(probe, batch, m)[0]
+
+    h = 1e-6
+    worst = 0.0
+    for i in range(TINY.param_count):
+        tp, tm = theta0.copy(), theta0.copy()
+        tp[i] += h
+        tm[i] -= h
+        fd = (loss_at(tp) - loss_at(tm)) / (2 * h)
+        denom = max(abs(fd), abs(grad[i]), 1e-4)
+        worst = max(worst, abs(fd - grad[i]) / denom)
+    return worst
+
+
 class TestTripletLoss:
     def e(self, d_sq):
         # unit vectors at a chosen squared distance: d^2 = 2 - 2cos(angle)
@@ -153,28 +178,7 @@ class TestGradients:
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_finite_difference(self):
-        # central differences over every coordinate of the tiny model
-        model = init_model(TINY)
-        batch = self.batch(seed=6)
-        m = 1.0  # large margin keeps every hinge active and smooth
-        theta0 = model.parameters.astype(np.float64)
-        _, grad = loss_and_gradients(model, batch, m)
-
-        def loss_at(theta):
-            probe = EmbeddingModel(theta.astype(np.float32), TINY)
-            probe.parameters = theta  # keep float64 for the FD probe
-            return loss_and_gradients(probe, batch, m)[0]
-
-        h = 1e-6
-        worst = 0.0
-        for i in range(TINY.param_count):
-            tp, tm = theta0.copy(), theta0.copy()
-            tp[i] += h
-            tm[i] -= h
-            fd = (loss_at(tp) - loss_at(tm)) / (2 * h)
-            denom = max(abs(fd), abs(grad[i]), 1e-4)
-            worst = max(worst, abs(fd - grad[i]) / denom)
-        assert worst < 1e-4
+        assert max_fd_error(self.batch(seed=6)) < 1e-4
 
     def test_mean_semantics_with_duplicates(self):
         model = init_model(TINY)
@@ -193,6 +197,49 @@ class TestGradients:
         loss, grad = loss_and_gradients(model, [(a, a, n)], 0.0)
         assert loss == 0.0
         assert np.all(grad == 0.0)
+
+
+class TestBatchedPath:
+    """One batch mixing two frame counts, a clip shorter than min_frames and
+    one Spectrogram object shared by two triplets."""
+
+    def batch(self):
+        rng = np.random.default_rng(9)
+        shared = random_spec(rng, 12, 2)
+        short = random_spec(rng, 5, 2)
+        assert short.values.shape[0] < TINY.min_frames
+        anchor = random_spec(rng, 12, 2)
+        return [
+            (shared, random_spec(rng, 12, 2), random_spec(rng, 15, 2)),
+            (random_spec(rng, 15, 2), short, random_spec(rng, 12, 2)),
+            (random_spec(rng, 12, 2), shared, random_spec(rng, 15, 2)),
+            (anchor, anchor, random_spec(rng, 12, 2)),  # inactive at margin 0
+        ]
+
+    @pytest.mark.parametrize("margin", [1.0, 0.0])
+    def test_matches_mean_of_single_triplets(self, margin):
+        # margin 0 leaves some hinges inactive, so the backward runs on a
+        # subset of the clips embedded in the forward
+        model = init_model(TINY)
+        batch = self.batch()
+        loss, grad = loss_and_gradients(model, batch, margin)
+        singles = [loss_and_gradients(model, [t], margin) for t in batch]
+        if margin == 0.0:
+            assert 0 < sum(l > 0 for l, _ in singles) < len(batch)
+        assert abs(loss - np.mean([l for l, _ in singles])) < 1e-12
+        assert np.max(np.abs(grad - np.mean([g for _, g in singles], axis=0))) < 1e-12
+
+    def test_finite_difference(self):
+        assert max_fd_error(self.batch()) < 1e-4
+
+    def test_permutation_invariant(self):
+        model = init_model(TINY)
+        batch = self.batch()
+        loss, grad = loss_and_gradients(model, batch, 1.0)
+        for order in ([3, 2, 0, 1], [1, 2, 3, 0], [2, 1, 0, 3]):
+            l2, g2 = loss_and_gradients(model, [batch[i] for i in order], 1.0)
+            assert abs(l2 - loss) < 1e-12
+            assert np.max(np.abs(g2 - grad)) < 1e-12
 
 
 class TestCheckpoint:

@@ -53,6 +53,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=batch_size)
 
+    @pytest.mark.parametrize("decay_interval", [0, -1])
+    def test_decay_interval_below_one_rejected(self, decay_interval):
+        with pytest.raises(ValueError, match="decay_interval"):
+            TrainConfig(decay_interval=decay_interval)
+
 
 class TestTrainEpoch:
     def test_zero_lr_is_noop(self):
@@ -112,6 +117,23 @@ class TestValidate:
             for a, p, n in data
         ])
         assert validate(model, data, 0.2) == pytest.approx(manual, abs=1e-15)
+
+    def test_embeds_each_distinct_clip_once(self, monkeypatch):
+        import nomadlite.train as train_mod
+        calls = []
+        real_embed = train_mod.embed
+
+        def counting_embed(model, spec):
+            calls.append(id(spec))
+            return real_embed(model, spec)
+
+        monkeypatch.setattr(train_mod, "embed", counting_embed)
+        data = triples(7, 4)
+        a, p, n = data[0]
+        data += [(a, n, p), (p, a, data[1][2])]  # reuse clips across triplets
+        distinct = {id(s) for t in data for s in t}
+        validate(init_model(TINY), data, 0.2)
+        assert sorted(calls) == sorted(distinct)
 
     def test_random_embeddings_near_margin(self):
         # with an untrained net on unrelated clips the hinge averages close
