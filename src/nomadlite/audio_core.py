@@ -87,14 +87,18 @@ def load_wav(path) -> Waveform:
     return Waveform(pcm.astype(np.float64) / 32768.0, rate)
 
 
-def save_wav(w: Waveform, path) -> None:
-    """Write 16-bit PCM mono, clipping to the representable range."""
+def save_wav(w: Waveform, path) -> Waveform:
+    """Write 16-bit PCM mono, clipping to the representable range.
+
+    Returns the waveform as written, equal to what ``load_wav(path)`` reads
+    back."""
     pcm = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(w.sample_rate)
         f.writeframes(pcm.tobytes())
+    return Waveform(pcm.astype(np.float64) / 32768.0, w.sample_rate)
 
 
 def _design_lowpass(up: int, down: int) -> np.ndarray:

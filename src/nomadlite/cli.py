@@ -280,7 +280,12 @@ def main(argv=None) -> int:
                 for action in p._actions:
                     if action.dest in overrides:
                         raw = overrides[action.dest]
-                        conv[action.dest] = action.type(raw) if action.type else raw
+                        try:
+                            conv[action.dest] = action.type(raw) if action.type else raw
+                        except ValueError as e:
+                            raise NomadError(
+                                f"{cfg_path}: bad value for {action.dest}: {raw!r} ({e})"
+                            ) from e
                 p.set_defaults(**conv)
 
             apply_defaults(parser)

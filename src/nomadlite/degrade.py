@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_core import CANONICAL_RATE, Waveform, load_wav, resample, save_wav
+from .audio_core import CANONICAL_RATE, Waveform, load_wav, log_band_spectrogram, resample, save_wav
 from .errors import (
     DegenerateSignalError,
     EmptyCorpusError,
@@ -276,6 +276,7 @@ def synth_dataset(
     def _render_one(src: Path) -> list[ManifestRow]:
         source_id = src.stem
         clean = resample(load_wav(src), CANONICAL_RATE)
+        clean_spec = log_band_spectrogram(clean)  # the NSIM reference of every clip below
         clean_path = out_dir / clean_name(source_id)
         save_wav(clean, clean_path)
         rows = [ManifestRow(str(clean_path), source_id, "clean", 0, 0.0, 1.0)]
@@ -288,9 +289,8 @@ def synth_dataset(
                     workdir=out_dir,
                 )
                 path = out_dir / degraded_name(source_id, c)
-                save_wav(deg, path)
                 # NSIM measured on what lands on disk (post 16-bit quantization)
-                q = utterance_nsim(clean, load_wav(path))
+                q = utterance_nsim(clean_spec, save_wav(deg, path))
                 rows.append(ManifestRow(str(path), source_id, c.family, c.level_index, c.level_param, q))
             except Exception as e:  # noqa: BLE001 - skip-and-log policy
                 log.warning("skipping %s %s level %d: %s", source_id, c.family, c.level_index, e)

@@ -15,6 +15,7 @@ round-trip bit-exactly.
 """
 
 import json
+import numbers
 import struct
 from dataclasses import asdict, dataclass
 
@@ -28,6 +29,11 @@ FORMAT_VERSION = 1
 NORM_EPS = 1e-12
 
 
+def _check_positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     bands: int = 32
@@ -39,6 +45,12 @@ class EncoderConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
+        for name in ("bands", "kernel", "stride", "embed_dim"):
+            _check_positive_int(name, getattr(self, name))
+        if not self.conv_channels:
+            raise ValueError("conv_channels must name at least one layer")
+        for c in self.conv_channels:
+            _check_positive_int("conv_channels entry", c)
 
     @property
     def min_frames(self) -> int:
@@ -302,20 +314,24 @@ def load_checkpoint(path) -> EmbeddingModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CorruptCheckpointError(f"unreadable header: {e}") from e
     off += hlen
+    if not isinstance(header, dict):
+        raise CorruptCheckpointError(f"header is a JSON {type(header).__name__}, not an object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CorruptCheckpointError(f"unsupported format version {header.get('format_version')}")
     try:
         cfg = EncoderConfig(**header["config"])
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise CorruptCheckpointError(f"bad config: {e}") from e
     n = header.get("param_count")
     if n != cfg.param_count:
         raise CorruptCheckpointError(
             f"header param_count {n} does not match config-derived {cfg.param_count}"
         )
+    if len(blob) - off != 4 * n:
+        raise CorruptCheckpointError(
+            f"expected {n} weights ({4 * n} bytes), found {len(blob) - off} bytes"
+        )
     params = np.frombuffer(blob[off:], dtype="<f4")
-    if params.size != n:
-        raise CorruptCheckpointError(f"expected {n} weights, found {params.size}")
     if not np.all(np.isfinite(params)):
         raise CorruptCheckpointError("non-finite weight")
     return EmbeddingModel(params.copy(), cfg)

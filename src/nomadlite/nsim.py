@@ -10,7 +10,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_core import Spectrogram, SpectrogramConfig, Waveform, log_band_spectrogram
 from .errors import PatchTooLargeError, ShapeMismatchError
@@ -45,13 +44,26 @@ class NsimScore:
 def _patch_stats(ref, deg, pt, pb):
     """Per-patch population mean/var/cov over all pt x pb windows (stride 1)."""
     n = pt * pb
-    wr = sliding_window_view(ref, (pt, pb))
-    wd = sliding_window_view(deg, (pt, pb))
-    mu_r = wr.mean(axis=(2, 3))
-    mu_d = wd.mean(axis=(2, 3))
-    var_r = (wr * wr).sum(axis=(2, 3)) / n - mu_r * mu_r
-    var_d = (wd * wd).sum(axis=(2, 3)) / n - mu_d * mu_d
-    cov = (wr * wd).sum(axis=(2, 3)) / n - mu_r * mu_d
+    tt = ref.shape[0] - pt + 1
+    bb = ref.shape[1] - pb + 1
+
+    def box_sum(a):
+        # separable window sum, band taps first and then time taps: up to
+        # 7x7, with more than one window across the bands, this order gives
+        # the same bits as numpy's sum over a 4-d sliding-window view
+        h = a[:, 0:bb]
+        for j in range(1, pb):
+            h = h + a[:, j : j + bb]
+        s = h[0:tt]
+        for i in range(1, pt):
+            s = s + h[i : i + tt]
+        return s
+
+    mu_r = box_sum(ref) / n
+    mu_d = box_sum(deg) / n
+    var_r = box_sum(ref * ref) / n - mu_r * mu_r
+    var_d = box_sum(deg * deg) / n - mu_d * mu_d
+    cov = box_sum(ref * deg) / n - mu_r * mu_d
     return mu_r, mu_d, var_r, var_d, cov
 
 
@@ -96,14 +108,18 @@ def nsim(ref: Spectrogram, deg: Spectrogram, cfg: NsimConfig | None = None) -> N
 
 
 def utterance_nsim(
-    ref_wav: Waveform,
+    ref: Waveform | Spectrogram,
     deg_wav: Waveform,
     cfg: NsimConfig | None = None,
     spec_cfg: SpectrogramConfig | None = None,
 ) -> float:
     """NSIM of two waveforms through the shared front-end, trimmed to the
-    common frame count (frame counts may differ by at most one)."""
-    sr = log_band_spectrogram(ref_wav, spec_cfg)
+    common frame count (frame counts may differ by at most one).
+
+    ``ref`` may also be the reference's ``log_band_spectrogram`` under the
+    same ``spec_cfg``, so that many clips scored against one reference
+    share its front-end pass."""
+    sr = ref if isinstance(ref, Spectrogram) else log_band_spectrogram(ref, spec_cfg)
     sd = log_band_spectrogram(deg_wav, spec_cfg)
     t = min(sr.values.shape[0], sd.values.shape[0])
     if max(sr.values.shape[0], sd.values.shape[0]) - t > 1:

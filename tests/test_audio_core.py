@@ -87,6 +87,16 @@ class TestLoadWav:
         back = load_wav(path)
         assert np.max(np.abs(back.samples - w.samples)) < 1 / 32768
 
+    def test_save_returns_what_load_reads(self, tmp_path):
+        # includes samples past full scale, which both sides clip alike
+        rng = np.random.default_rng(1)
+        w = Waveform(rng.uniform(-1.2, 1.2, 1000), 22050)
+        path = tmp_path / "rt.wav"
+        written = save_wav(w, path)
+        back = load_wav(path)
+        assert written.sample_rate == back.sample_rate == 22050
+        assert np.array_equal(written.samples, back.samples)
+
 
 class TestResample:
     def test_identity_is_bit_exact(self):

@@ -89,6 +89,13 @@ class TestConfigFile:
         cfg.write_text("no equals sign here\n")
         assert main(["--config", str(cfg), "nsim", "--ref", "a", "--deg", "b"]) == 1
 
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("batch=abc\n")
+        assert main(["--config", str(cfg), "nsim", "--ref", "a", "--deg", "b"]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "batch" in err and "'abc'" in err
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):

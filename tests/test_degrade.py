@@ -1,10 +1,12 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from conftest import make_utterance
-from nomadlite.audio_core import Waveform, load_wav, save_wav
+from nomadlite import degrade
+from nomadlite.audio_core import CANONICAL_RATE, Waveform, load_wav, resample, save_wav
 from nomadlite.degrade import (
     DEFAULT_FAMILIES,
     _brickwall_lowpass,
@@ -275,6 +277,59 @@ class TestSynthDataset:
             str(out_b).encode(), str(out_a).encode()
         )
         assert ma == mb
+
+    def test_nsim_matches_clips_on_disk(self, tmp_path):
+        # the reference is the resampled source before quantization; the
+        # degraded side is each clip as read back from disk
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        save_wav(make_utterance(30, duration_s=1.5), clean / "a.wav")
+        save_wav(make_utterance(31, duration_s=1.5, sr=22050), clean / "b.wav")
+        rows = synth_dataset(clean, tmp_path / "out", seed=4)
+        assert {r.source_id for r in rows} == {"a", "b"}
+        for r in rows:
+            if r.family == "clean":
+                assert r.nsim == 1.0
+                continue
+            ref = resample(load_wav(clean / f"{r.source_id}.wav"), CANONICAL_RATE)
+            assert r.nsim == utterance_nsim(ref, load_wav(r.clip_path))
+
+    def test_one_reference_spectrogram_per_source(self, corpus, tmp_path, monkeypatch):
+        # the package namespace binds ``nsim`` to the function, not the module
+        nsim_module = importlib.import_module("nomadlite.nsim")
+        calls = {}
+
+        def count_calls(module, name):
+            original = getattr(module, name)
+            key = f"{module.__name__}.{name}"
+
+            def counting(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+
+        count_calls(degrade, "log_band_spectrogram")
+        count_calls(degrade, "load_wav")
+        count_calls(nsim_module, "log_band_spectrogram")
+        rows = synth_dataset(corpus, tmp_path / "out", seed=3)
+        degraded = sum(1 for r in rows if r.family != "clean")
+        assert degraded == 40
+        # one reference spectrogram and one read per source; no clip read back
+        assert calls == {
+            "nomadlite.degrade.log_band_spectrogram": 2,
+            "nomadlite.degrade.load_wav": 2,
+            "nomadlite.nsim.log_band_spectrogram": degraded,
+        }
+
+    def test_source_too_short_for_reference_skipped_whole(self, corpus, tmp_path):
+        clean = tmp_path / "clean2"
+        clean.mkdir()
+        for f in corpus.glob("*.wav"):
+            (clean / f.name).write_bytes(f.read_bytes())
+        save_wav(Waveform(make_utterance(32, duration_s=0.1).samples[:300], 16000), clean / "short.wav")
+        rows = synth_dataset(clean, tmp_path / "out", seed=0)
+        assert {r.source_id for r in rows} == {"src0", "src1"}
+        assert not (tmp_path / "out" / "short__clean.wav").exists()
 
     def test_empty_corpus(self, tmp_path):
         (tmp_path / "empty").mkdir()

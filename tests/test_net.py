@@ -1,9 +1,15 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nomadlite.audio_core import Spectrogram
 from nomadlite.errors import BandMismatchError, CorruptCheckpointError
 from nomadlite.net import (
+    CHECKPOINT_MAGIC,
     EmbeddingModel,
     EncoderConfig,
     embed,
@@ -37,6 +43,16 @@ class TestConfigAndInit:
     def test_tiny_param_count(self):
         # 4*2*3+4 + 8*4*3+8 + 8*8+8
         assert TINY.param_count == 204
+
+    @pytest.mark.parametrize("field,value", [
+        ("kernel", 0), ("stride", 0), ("stride", -1), ("bands", 0), ("embed_dim", -3),
+        ("conv_channels", ()), ("conv_channels", (4, 0)), ("kernel", 3.0), ("stride", True),
+    ])
+    def test_degenerate_config_rejected(self, field, value):
+        fields = dict(bands=2, conv_channels=(4, 8), kernel=3, stride=2, embed_dim=8)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            EncoderConfig(**fields)
 
     def test_init_matches_param_count(self):
         for cfg in (TINY, EncoderConfig()):
@@ -292,3 +308,48 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        [],
+        123,
+        "text",
+        {"format_version": 1, "config": {"bands": 2, "conv_channels": [4, 8], "kernel": 3,
+                                         "stride": -1, "embed_dim": 8, "init_seed": 0},
+         "param_count": 204},
+    ])
+    def test_malformed_header_is_corrupt(self, tmp_path, header):
+        header_bytes = json.dumps(header).encode("utf-8")
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes
+                         + np.zeros(204, dtype="<f4").tobytes())
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    save_checkpoint(init_model(TINY), path)
+    return path
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_checkpoint_fuzz_corrupt_or_valid(tiny_checkpoint, data):
+    """A truncated or single-byte-flipped checkpoint either loads as a model
+    that embeds, or raises CorruptCheckpointError; never anything else."""
+    blob = bytearray(tiny_checkpoint.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        i = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        blob[i] ^= data.draw(st.integers(1, 255), label="mask")
+    path = tiny_checkpoint.with_name("fuzzed.ckpt")
+    path.write_bytes(bytes(blob))
+    try:
+        model = load_checkpoint(path)
+    except CorruptCheckpointError:
+        return
+    assert model.parameters.size == model.config.param_count
+    e = embed(model, random_spec(np.random.default_rng(0), 12, model.config.bands))
+    assert np.all(np.isfinite(e))

@@ -2,17 +2,90 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import make_utterance
 from nomadlite.audio_core import Spectrogram, Waveform, log_band_spectrogram
-from nomadlite.degrade import mix_noise_at_snr, white_noise
+from nomadlite.degrade import (
+    DEFAULT_FAMILIES,
+    LEVEL_TABLES,
+    DegradationCondition,
+    apply_condition,
+    mix_noise_at_snr,
+    white_noise,
+)
 from nomadlite.errors import PatchTooLargeError, ShapeMismatchError
-from nomadlite.nsim import NsimConfig, nsim, utterance_nsim
+from nomadlite.nsim import NsimConfig, _patch_stats, nsim, utterance_nsim
 
 
 def spec_of(values):
     values = np.asarray(values, dtype=float)
     return Spectrogram(values, 0.01, values.shape[1])
+
+
+def windowed_patch_stats(ref, deg, pt, pb):
+    """Reference: the full-window reduction that ``_patch_stats`` replaced."""
+    n = pt * pb
+    wr = sliding_window_view(ref, (pt, pb))
+    wd = sliding_window_view(deg, (pt, pb))
+    mu_r = wr.mean(axis=(2, 3))
+    mu_d = wd.mean(axis=(2, 3))
+    var_r = (wr * wr).sum(axis=(2, 3)) / n - mu_r * mu_r
+    var_d = (wd * wd).sum(axis=(2, 3)) / n - mu_d * mu_d
+    cov = (wr * wd).sum(axis=(2, 3)) / n - mu_r * mu_d
+    return mu_r, mu_d, var_r, var_d, cov
+
+
+@pytest.fixture(scope="module")
+def desk_pairs():
+    """(reference, degraded) spectrogram values of one desk source against
+    each of its 20 degraded clips, trimmed to the common frame count."""
+    u = make_utterance(3)
+    ref = log_band_spectrogram(u).values
+    pairs = []
+    for fam in DEFAULT_FAMILIES:
+        for i in range(len(LEVEL_TABLES[fam])):
+            deg = apply_condition(u, DegradationCondition.from_table(fam, i), 1, "src")
+            d = log_band_spectrogram(deg).values
+            t = min(len(ref), len(d))
+            pairs.append((ref[:t], d[:t]))
+    return pairs
+
+
+class TestPatchStats:
+    @pytest.mark.parametrize("pt,pb", [(1, 1), (3, 3), (3, 5), (5, 3), (7, 7)])
+    def test_bit_identical_to_windowed_on_desk(self, desk_pairs, pt, pb):
+        for ref, deg in desk_pairs:
+            for a, b in zip(_patch_stats(ref, deg, pt, pb), windowed_patch_stats(ref, deg, pt, pb)):
+                assert np.array_equal(a, b)
+
+    def test_large_patch_within_tolerance_on_desk(self, desk_pairs):
+        # at 8 or more taps along an axis, numpy's pairwise summation
+        # regroups the windowed reduction's additions
+        for ref, deg in desk_pairs:
+            for a, b in zip(_patch_stats(ref, deg, 9, 11), windowed_patch_stats(ref, deg, 9, 11)):
+                assert np.max(np.abs(a - b)) <= 1e-12
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([1, 3, 5, 7]),
+        st.sampled_from([1, 3, 5, 7]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_windowed_on_random(self, seed, t, b, pt, pb):
+        rng = np.random.default_rng(seed)
+        ref = rng.standard_normal((t + pt - 1, b + pb - 1)) * 3.0
+        deg = ref + rng.standard_normal(ref.shape)
+        for a, w in zip(_patch_stats(ref, deg, pt, pb), windowed_patch_stats(ref, deg, pt, pb)):
+            assert a.shape == w.shape == (t, b)
+            if b > 1:
+                assert np.array_equal(a, w)
+            else:
+                # one window across all bands: numpy then sums the window
+                # row-major, in another order than band taps then time taps
+                np.testing.assert_allclose(a, w, rtol=1e-12, atol=1e-12)
 
 
 class TestNsim:
@@ -99,6 +172,18 @@ class TestUtteranceNsim:
         assert utterance_nsim(u, mix_noise_at_snr(u, noise, 0)) < utterance_nsim(
             u, mix_noise_at_snr(u, noise, 40)
         )
+
+    def test_spectrogram_reference_equals_waveform_reference(self):
+        u = make_utterance(8)
+        noise = Waveform(white_noise(len(u.samples), np.random.default_rng(12)), u.sample_rate)
+        ref_spec = log_band_spectrogram(u)
+        for deg in (u, mix_noise_at_snr(u, noise, 8), Waveform(u.samples[:-150], u.sample_rate)):
+            assert utterance_nsim(ref_spec, deg) == utterance_nsim(u, deg)
+
+    def test_spectrogram_reference_keeps_frame_rule(self):
+        u = make_utterance(9)
+        with pytest.raises(ShapeMismatchError):
+            utterance_nsim(log_band_spectrogram(u), Waveform(u.samples[:-480], u.sample_rate))
 
     def test_frame_trim_tolerates_one_hop(self):
         u = make_utterance(6)
