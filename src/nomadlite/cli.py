@@ -7,6 +7,7 @@ feature-loss. Exit codes: 0 success, 1 input/usage error, 2 internal error.
 import argparse
 import logging
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 from . import degrade, evaluate, score as scoring, train as training, triplets as tri
@@ -14,8 +15,11 @@ from .audio_core import CANONICAL_RATE, load_wav, resample
 from .errors import NomadError
 from .net import EncoderConfig, load_checkpoint, save_checkpoint
 from .nsim import utterance_nsim
+from .table import write_table
 
 log = logging.getLogger("nomadlite")
+
+RANK_COLUMNS = (("family", str, ""), ("spearman", str, ""))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,10 +225,7 @@ def _cmd_eval_mos(args) -> int:
     for row in report.per_condition:
         print(f"{row.condition_id},{row.mean_score:.6f},{row.mean_mos:.6f}")
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as f:
-            f.write("condition_id,mean_score,mean_mos\n")
-            for row in report.per_condition:
-                f.write(f"{row.condition_id},{row.mean_score:.12f},{row.mean_mos:.12f}\n")
+        write_table(args.out, evaluate.CONDITION_COLUMNS, map(astuple, report.per_condition))
     return 0
 
 
@@ -233,15 +234,11 @@ def _cmd_eval_rank(args) -> int:
         scoring.read_scores(args.scores), degrade.read_manifest(args.manifest)
     )
     print("family,spearman")
-    lines = []
-    for family, sc in result.items():
-        text = "undefined" if sc is None else f"{sc:+.4f}"
+    rows = [(family, "undefined" if sc is None else f"{sc:+.4f}") for family, sc in result.items()]
+    for family, text in rows:
         print(f"{family},{text}")
-        lines.append(f"{family},{text}\n")
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as f:
-            f.write("family,spearman\n")
-            f.writelines(lines)
+        write_table(args.out, RANK_COLUMNS, rows)
     return 0
 
 
@@ -270,31 +267,28 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # apply config-file values as defaults before the real parse
-        if "--config" in argv:
-            cfg_path = argv[argv.index("--config") + 1]
+        # apply config-file values as defaults before the real parse; without
+        # abbreviations, so that e.g. `triplets --co 40` is not read as --config
+        pre = _Parser(prog=parser.prog, add_help=False, allow_abbrev=False)
+        pre.add_argument("--config")
+        cfg_path = pre.parse_known_args(argv)[0].config
+        if cfg_path is not None:
             overrides = _load_config_file(cfg_path)
-
-            def apply_defaults(p):
-                conv = {}
+            for p in [parser, *parser._sub_choices.values()]:
                 for action in p._actions:
-                    if action.dest in overrides:
-                        raw = overrides[action.dest]
-                        try:
-                            conv[action.dest] = action.type(raw) if action.type else raw
-                        except ValueError as e:
-                            raise NomadError(
-                                f"{cfg_path}: bad value for {action.dest}: {raw!r} ({e})"
-                            ) from e
-                p.set_defaults(**conv)
-
-            apply_defaults(parser)
-            for subparser in parser._sub_choices.values():
-                apply_defaults(subparser)
+                    if action.dest not in overrides:
+                        continue
+                    raw = overrides[action.dest]
+                    try:
+                        p.set_defaults(**{action.dest: action.type(raw) if action.type else raw})
+                    except ValueError as e:
+                        raise NomadError(
+                            f"{cfg_path}: bad value for {action.dest}: {raw!r} ({e})"
+                        ) from e
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    except (NomadError, IndexError, FileNotFoundError) as e:
+    except (NomadError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

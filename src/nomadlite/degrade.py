@@ -6,14 +6,13 @@ CSV manifest. All randomness is derived from a stable per-(source, condition)
 hash so re-runs are byte-identical.
 """
 
-import csv
 import hashlib
 import logging
 import math
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +27,14 @@ from .errors import (
     UnsupportedBitrateError,
 )
 from .nsim import utterance_nsim
+from .table import read_table, write_table
 
 log = logging.getLogger(__name__)
 
-MANIFEST_HEADER = ["clip_path", "source_id", "family", "level_index", "level_param", "nsim"]
+MANIFEST_COLUMNS = (
+    ("clip_path", str, ""), ("source_id", str, ""), ("family", str, ""),
+    ("level_index", int, ""), ("level_param", float, ".6g"), ("nsim", float, ".17g"),
+)
 
 # level tables; index 0 is the mildest-numbered entry of each published table
 LEVEL_TABLES = {
@@ -312,27 +315,8 @@ def synth_dataset(
 
 
 def write_manifest(rows: list[ManifestRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(MANIFEST_HEADER)
-        for r in rows:
-            writer.writerow(
-                [r.clip_path, r.source_id, r.family, r.level_index,
-                 f"{r.level_param:.6g}", f"{r.nsim:.17g}"]
-            )
+    write_table(path, MANIFEST_COLUMNS, map(astuple, rows))
 
 
 def read_manifest(path) -> list[ManifestRow]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != MANIFEST_HEADER:
-            raise ValueError(f"bad manifest header: {reader.fieldnames}")
-        for rec in reader:
-            rows.append(
-                ManifestRow(
-                    rec["clip_path"], rec["source_id"], rec["family"],
-                    int(rec["level_index"]), float(rec["level_param"]), float(rec["nsim"]),
-                )
-            )
-    return rows
+    return [ManifestRow(*rec) for rec in read_table(path, MANIFEST_COLUMNS)]

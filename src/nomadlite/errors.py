@@ -83,3 +83,7 @@ class JoinEmptyError(NomadError):
 
 class DataError(NomadError):
     """Training data invalid (empty or source-overlapping splits)."""
+
+
+class MalformedTableError(NomadError, ValueError):
+    """CSV table has a wrong header, a row of the wrong width, or a bad cell."""

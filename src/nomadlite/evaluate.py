@@ -1,7 +1,6 @@
 """Correlation and ranking evaluation: Pearson/Spearman, per-condition MOS
 aggregation, and per-family monotonicity reports."""
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -10,10 +9,14 @@ import numpy as np
 from .degrade import ManifestRow
 from .errors import DegenerateInputError, JoinEmptyError
 from .score import ScoreRow
+from .table import read_table
 
 log = logging.getLogger(__name__)
 
-MOS_HEADER = ["clip_path", "condition_id", "mos"]
+MOS_COLUMNS = (("clip_path", str, ""), ("condition_id", str, ""), ("mos", float, ""))
+CONDITION_COLUMNS = (
+    ("condition_id", str, ""), ("mean_score", float, ".12f"), ("mean_mos", float, ".12f"),
+)
 
 
 @dataclass
@@ -77,14 +80,7 @@ def spearman(x, y) -> float:
 
 
 def read_mos(path) -> list[MosRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != MOS_HEADER:
-            raise ValueError(f"bad MOS header: {reader.fieldnames}")
-        for rec in reader:
-            records.append(MosRecord(rec["clip_path"], rec["condition_id"], float(rec["mos"])))
-    return records
+    return [MosRecord(*rec) for rec in read_table(path, MOS_COLUMNS)]
 
 
 def aggregate_per_condition(scores: list[ScoreRow], mos: list[MosRecord]) -> EvalReport:

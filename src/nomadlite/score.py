@@ -1,16 +1,18 @@
 """Embedding-distance scoring against matching or non-matching references."""
 
-import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .audio_core import SpectrogramConfig, Waveform, log_band_spectrogram
 from .errors import EmptyPoolError
 from .net import EmbeddingModel, _backward, _forward, embed
+from .table import read_table, write_table
 
-SCORE_HEADER = ["clip_path", "nomad", "mode", "pool_id"]
+SCORE_COLUMNS = (
+    ("clip_path", str, ""), ("nomad", float, ".12f"), ("mode", str, ""), ("pool_id", str, ""),
+)
 
 
 def _embed_wav(model: EmbeddingModel, w: Waveform, spec_cfg=None) -> np.ndarray:
@@ -107,19 +109,8 @@ class ScoreRow:
 
 
 def write_scores(rows: list[ScoreRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(SCORE_HEADER)
-        for r in rows:
-            writer.writerow([r.clip_path, f"{r.nomad:.12f}", r.mode, r.pool_id])
+    write_table(path, SCORE_COLUMNS, map(astuple, rows))
 
 
 def read_scores(path) -> list[ScoreRow]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != SCORE_HEADER:
-            raise ValueError(f"bad score header: {reader.fieldnames}")
-        for rec in reader:
-            rows.append(ScoreRow(rec["clip_path"], float(rec["nomad"]), rec["mode"], rec["pool_id"]))
-    return rows
+    return [ScoreRow(*rec) for rec in read_table(path, SCORE_COLUMNS)]

@@ -1,0 +1,50 @@
+"""The one CSV format of every table the pipeline reads and writes.
+
+A table is declared once as ``(name, type, format_spec)`` columns. Files are
+UTF-8, written by the ``csv`` module with ``"\\n"`` line endings, and start
+with exactly the column names; a cell is written as ``format(value, spec)``
+and read back as ``type(cell)``. A file that breaks these rules raises
+``MalformedTableError`` naming the path, the 1-based line and the column.
+"""
+
+import csv
+
+from .errors import MalformedTableError
+
+
+def write_table(path, columns, rows) -> None:
+    """Write the header and one line per row (a sequence of column values)."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow([name for name, _, _ in columns])
+        writer.writerows([format(v, spec) for v, (_, _, spec) in zip(row, columns)] for row in rows)
+
+
+def read_table(path, columns) -> list[tuple]:
+    """Parse every non-blank line after the header into a tuple of typed values."""
+    names = [name for name, _, _ in columns]
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader, None)
+            if header != names:
+                raise MalformedTableError(f"{path}:1: bad header {header}, expected {names}")
+            return [_parse_row(path, reader.line_num, columns, row) for row in reader if row]
+        except csv.Error as e:
+            raise MalformedTableError(f"{path}:{reader.line_num}: {e}") from e
+
+
+def _parse_row(path, line: int, columns, row: list[str]) -> tuple:
+    if len(row) < len(columns):
+        raise MalformedTableError(f"{path}:{line}: missing column {columns[len(row)][0]!r}")
+    if len(row) > len(columns):
+        raise MalformedTableError(f"{path}:{line}: extra cell after column {columns[-1][0]!r}")
+    values = []
+    for (name, kind, _), cell in zip(columns, row):
+        try:
+            values.append(kind(cell))
+        except ValueError as e:
+            raise MalformedTableError(
+                f"{path}:{line}: column {name!r}: {cell!r} is not {kind.__name__}"
+            ) from e
+    return tuple(values)

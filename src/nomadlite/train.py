@@ -1,6 +1,5 @@
 """Triplet training loop: plain SGD, validation early stopping, lr decay."""
 
-import csv
 import logging
 import time
 from dataclasses import dataclass, field
@@ -17,11 +16,15 @@ from .net import (
     loss_and_gradients,
     triplet_loss,
 )
+from .table import write_table
 from .triplets import TripletRecord
 
 log = logging.getLogger(__name__)
 
-REPORT_HEADER = ["epoch", "train_loss", "val_loss", "lr"]
+REPORT_COLUMNS = (
+    ("epoch", int, ""), ("train_loss", float, ".12f"), ("val_loss", float, ".12f"),
+    ("lr", float, ".12g"),
+)
 
 
 @dataclass
@@ -55,11 +58,7 @@ class TrainReport:
     wall_time_s: float = 0.0
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(REPORT_HEADER)
-            for epoch, tr, va, lr in self.epochs:
-                writer.writerow([epoch, f"{tr:.12f}", f"{va:.12f}", f"{lr:.12g}"])
+        write_table(path, REPORT_COLUMNS, self.epochs)
 
 
 class SpectrogramCache:

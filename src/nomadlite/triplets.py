@@ -6,9 +6,8 @@ NSIM distance to the anchor exceeds the positive's by at least a margin s;
 "hard" takes the closest entry strictly beyond the positive's distance.
 """
 
-import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -19,11 +18,13 @@ from .errors import (
     ExhaustedSamplerError,
     TooFewEntriesError,
 )
+from .table import read_table, write_table
 
-TRIPLET_HEADER = [
-    "source_id", "anchor_path", "positive_path", "negative_path",
-    "q_a", "q_p", "q_n", "strategy",
-]
+TRIPLET_COLUMNS = (
+    ("source_id", str, ""), ("anchor_path", str, ""), ("positive_path", str, ""),
+    ("negative_path", str, ""), ("q_a", float, ".17g"), ("q_p", float, ".17g"),
+    ("q_n", float, ".17g"), ("strategy", str, ""),
+)
 
 
 @dataclass
@@ -192,28 +193,8 @@ def split_by_source(
 
 
 def write_triplets(records: list[TripletRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(TRIPLET_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.source_id, r.anchor_ref, r.positive_ref, r.negative_ref,
-                 f"{r.q_a:.17g}", f"{r.q_p:.17g}", f"{r.q_n:.17g}", r.strategy]
-            )
+    write_table(path, TRIPLET_COLUMNS, map(astuple, records))
 
 
 def read_triplets(path) -> list[TripletRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != TRIPLET_HEADER:
-            raise ValueError(f"bad triplet header: {reader.fieldnames}")
-        for rec in reader:
-            records.append(
-                TripletRecord(
-                    rec["source_id"], rec["anchor_path"], rec["positive_path"],
-                    rec["negative_path"], float(rec["q_a"]), float(rec["q_p"]),
-                    float(rec["q_n"]), rec["strategy"],
-                )
-            )
-    return records
+    return [TripletRecord(*rec) for rec in read_table(path, TRIPLET_COLUMNS)]

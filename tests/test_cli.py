@@ -3,9 +3,9 @@ import pytest
 
 from nomadlite.audio_core import Waveform, save_wav
 from nomadlite.cli import build_parser, main
-from nomadlite.degrade import read_manifest
+from nomadlite.degrade import ManifestRow, read_manifest, write_manifest
 from nomadlite.net import load_checkpoint
-from nomadlite.score import read_scores
+from nomadlite.score import ScoreRow, read_scores, write_scores
 from nomadlite.triplets import read_triplets
 
 from conftest import make_utterance
@@ -95,6 +95,62 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "nsim", "--ref", "a", "--deg", "b"]) == 1
         err = capsys.readouterr().err
         assert str(cfg) in err and "batch" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("spelling", ["separate", "equals"])
+    def test_bad_value_exits_one_in_either_spelling(self, tmp_path, capsys, spelling):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("batch=abc\n")
+        flag = ["--config", str(cfg)] if spelling == "separate" else [f"--config={cfg}"]
+        assert main([*flag, "nsim", "--ref", "a", "--deg", "b"]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "batch" in err
+
+    def test_trailing_config_is_usage_error(self, capsys):
+        assert main(["nsim", "--ref", "a", "--deg", "b", "--config"]) == 1
+        err = capsys.readouterr().err
+        assert "--config" in err and "index" not in err
+
+    def test_abbreviated_subcommand_flag_is_not_config(self, tmp_path, monkeypatch):
+        # `--co` abbreviates triplets' --count; the --config pre-parse must leave it alone
+        import nomadlite.cli as cli
+        read = []
+        monkeypatch.setattr(cli, "_load_config_file", lambda path: read.append(path) or {})
+        assert main(["--quiet", "triplets", "--manifest", str(tmp_path / "none.csv"),
+                     "--co", "40", "--out", str(tmp_path)]) == 1
+        assert read == []
+
+
+class TestEvalOut:
+    """Exact bytes of the eval-mos and eval-rank --out tables."""
+
+    def test_eval_mos_out(self, tmp_path):
+        write_scores([ScoreRow(f"{c}.wav", s, "nmr", "p") for c, s in
+                      [("a1", 0.1), ("a2", 0.3), ("b1", 0.7), ("b2", 0.9)]], tmp_path / "s.csv")
+        (tmp_path / "mos.csv").write_text(
+            'clip_path,condition_id,mos\na1.wav,"mild, low",4\na2.wav,"mild, low",5\n'
+            "b1.wav,severe,2\nb2.wav,severe,1\n")
+        out = tmp_path / "out.csv"
+        assert main(["--quiet", "eval-mos", "--scores", str(tmp_path / "s.csv"),
+                     "--mos", str(tmp_path / "mos.csv"), "--out", str(out)]) == 0
+        # a cell holding a comma is quoted, so the file stays valid CSV
+        assert out.read_bytes() == (
+            b"condition_id,mean_score,mean_mos\n"
+            b'"mild, low",0.200000000000,4.500000000000\n'
+            b"severe,0.800000000000,1.500000000000\n"
+        )
+
+    def test_eval_rank_out(self, tmp_path):
+        clips = [("c0", "clip", 0, 5.0, 0.1), ("c1", "clip", 1, 10.0, 0.2),
+                 ("c2", "clip", 2, 25.0, 0.3), ("n0", "noise", 0, 0.0, 0.5),
+                 ("n1", "noise", 1, 8.0, 0.5)]
+        write_manifest([ManifestRow(f"{c}.wav", "s", f, i, lp, 0.5) for c, f, i, lp, _ in clips],
+                       tmp_path / "m.csv")
+        write_scores([ScoreRow(f"{c}.wav", s, "nmr", "p") for c, *_, s in clips],
+                     tmp_path / "s.csv")
+        out = tmp_path / "out.csv"
+        assert main(["--quiet", "eval-rank", "--scores", str(tmp_path / "s.csv"),
+                     "--manifest", str(tmp_path / "m.csv"), "--out", str(out)]) == 0
+        assert out.read_bytes() == b"family,spearman\nclip,+1.0000\nnoise,undefined\n"
 
 
 @pytest.fixture(scope="module")

@@ -166,6 +166,11 @@ class TestScoreCsv:
                 ScoreRow("b__noise_l4.wav", 1.5, "fr", "b__clean.wav")]
         path = tmp_path / "s.csv"
         write_scores(rows, path)
+        assert path.read_bytes() == (
+            b"clip_path,nomad,mode,pool_id\n"
+            b"a__clip_l0.wav,0.123456789012,nmr,poolA\n"
+            b"b__noise_l4.wav,1.500000000000,fr,b__clean.wav\n"
+        )
         back = read_scores(path)
         assert [r.clip_path for r in back] == [r.clip_path for r in rows]
         assert back[0].nomad == pytest.approx(rows[0].nomad, abs=1e-12)

@@ -226,3 +226,8 @@ class TestReportCsv:
         assert lines[0] == "epoch,train_loss,val_loss,lr"
         assert lines[1].startswith("1,0.500000000000,0.600000000000,")
         assert len(lines) == 3
+        assert path.read_bytes() == (
+            b"epoch,train_loss,val_loss,lr\n"
+            b"1,0.500000000000,0.600000000000,0.001\n"
+            b"2,0.400000000000,0.550000000000,0.001\n"
+        )
