@@ -68,13 +68,8 @@ def load_wav(path) -> Waveform:
     """Read a RIFF PCM 16-bit mono WAV file, scaled to [-1, 1] by 1/32768."""
     try:
         with wave.open(str(path), "rb") as f:
-            channels = f.getnchannels()
-            sampwidth = f.getsampwidth()
-            rate = f.getframerate()
-            n = f.getnframes()
+            channels, sampwidth, rate, n = f.getparams()[:4]
             raw = f.readframes(n)
-    except FileNotFoundError:
-        raise
     except (wave.Error, EOFError) as e:
         raise CorruptHeaderError(f"{path}: {e}") from e
     if channels != 1:

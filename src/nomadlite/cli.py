@@ -11,7 +11,7 @@ from dataclasses import astuple
 from pathlib import Path
 
 from . import degrade, evaluate, score as scoring, train as training, triplets as tri
-from .audio_core import CANONICAL_RATE, load_wav, resample
+from .audio_core import load_wav
 from .errors import NomadError
 from .net import EncoderConfig, load_checkpoint, save_checkpoint
 from .nsim import utterance_nsim
@@ -20,16 +20,15 @@ from .table import write_table
 log = logging.getLogger("nomadlite")
 
 RANK_COLUMNS = (("family", str, ""), ("spearman", str, ""))
+# eval-mos prints the per-condition table with 6 decimals instead of 12
+MOS_STDOUT_COLUMNS = [(n, t, ".6f" if t is float else f) for n, t, f in evaluate.CONDITION_COLUMNS]
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._fail(message))
-
-    def _fail(self, message):
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _load_config_file(path: str) -> dict:
@@ -134,9 +133,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_nsim(args) -> int:
-    ref = resample(load_wav(args.ref), CANONICAL_RATE)
-    deg = resample(load_wav(args.deg), CANONICAL_RATE)
-    print(f"{utterance_nsim(ref, deg):.6f}")
+    print(f"{utterance_nsim(load_wav(args.ref), load_wav(args.deg)):.6f}")
     return 0
 
 
@@ -181,27 +178,22 @@ def _cmd_score(args) -> int:
     if not clips:
         raise NomadError(f"no WAV files in {args.input_dir}")
     pool_dir = Path(args.pool_dir)
-
-    def canonical(p):
-        return resample(load_wav(p), CANONICAL_RATE)
-
-    rows = []
     if args.mode == "nmr":
         refs = sorted(pool_dir.glob("*.wav"))
         if not refs:
             raise NomadError(f"no WAV files in {pool_dir}")
-        pool = scoring.ReferencePool([canonical(r) for r in refs], pool_id=pool_dir.name)
+        pool = scoring.ReferencePool([load_wav(r) for r in refs], pool_id=pool_dir.name)
         pool.embeddings(model)  # fill the cache once, before any worker reads it
 
         def score_one(clip):
-            return scoring.ScoreRow(str(clip), scoring.pooled_score(model, canonical(clip), pool),
+            return scoring.ScoreRow(str(clip), scoring.pooled_score(model, load_wav(clip), pool),
                                     "nmr", pool.pool_id)
     else:
         def score_one(clip):
             ref_path = pool_dir / degrade.clean_name(_source_id_of(clip))
             if not ref_path.exists():
                 raise NomadError(f"no clean counterpart {ref_path} for {clip}")
-            value = scoring.full_reference_score(model, canonical(clip), canonical(ref_path))
+            value = scoring.full_reference_score(model, load_wav(clip), load_wav(ref_path))
             return scoring.ScoreRow(str(clip), value, "fr", str(ref_path))
 
     if args.jobs > 1:
@@ -221,9 +213,7 @@ def _cmd_eval_mos(args) -> int:
         scoring.read_scores(args.scores), evaluate.read_mos(args.mos)
     )
     print(f"conditions: {report.n_conditions}  PC: {report.pc:+.4f}  SC: {report.sc:+.4f}")
-    print("condition_id,mean_score,mean_mos")
-    for row in report.per_condition:
-        print(f"{row.condition_id},{row.mean_score:.6f},{row.mean_mos:.6f}")
+    write_table(sys.stdout, MOS_STDOUT_COLUMNS, map(astuple, report.per_condition))
     if args.out:
         write_table(args.out, evaluate.CONDITION_COLUMNS, map(astuple, report.per_condition))
     return 0
@@ -233,10 +223,8 @@ def _cmd_eval_rank(args) -> int:
     result = evaluate.monotonicity_report(
         scoring.read_scores(args.scores), degrade.read_manifest(args.manifest)
     )
-    print("family,spearman")
     rows = [(family, "undefined" if sc is None else f"{sc:+.4f}") for family, sc in result.items()]
-    for family, text in rows:
-        print(f"{family},{text}")
+    write_table(sys.stdout, RANK_COLUMNS, rows)
     if args.out:
         write_table(args.out, RANK_COLUMNS, rows)
     return 0
@@ -244,9 +232,7 @@ def _cmd_eval_rank(args) -> int:
 
 def _cmd_feature_loss(args) -> int:
     model = load_checkpoint(args.model)
-    clean = resample(load_wav(args.clean), CANONICAL_RATE)
-    estimate = resample(load_wav(args.estimate), CANONICAL_RATE)
-    loss, _grad = scoring.feature_loss(model, clean, estimate)
+    loss, _grad = scoring.feature_loss(model, load_wav(args.clean), load_wav(args.estimate))
     print(f"{loss:.6f}")
     return 0
 

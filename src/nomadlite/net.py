@@ -27,6 +27,8 @@ from .errors import BandMismatchError, CorruptCheckpointError
 CHECKPOINT_MAGIC = b"NOMAD1\n"
 FORMAT_VERSION = 1
 NORM_EPS = 1e-12
+# clips per forward in embed_batch: a default training step's 8 triplets
+EMBED_CHUNK = 24
 
 
 def _check_positive_int(name: str, value) -> None:
@@ -221,11 +223,33 @@ def _backward(cache, cfg: EncoderConfig, grad_e: np.ndarray, layer_grads=None,
     return flat, g_act
 
 
+def _bucketed_forward(theta, cfg: EncoderConfig, specs, limit: int, caches=None):
+    """Embeddings of ``specs`` in input order: one _forward per group of at
+    most ``limit`` clips of equal frame count. Each group's (rows, cache) is
+    appended to ``caches`` if given, else freed before the next forward."""
+    buckets: dict[int, list[int]] = {}
+    for i, spec in enumerate(specs):
+        buckets.setdefault(spec.values.shape[0], []).append(i)
+    emb = np.empty((len(specs), cfg.embed_dim))
+    for members in buckets.values():
+        for start in range(0, len(members), limit):
+            rows = members[start : start + limit]
+            emb[rows], cache = _forward(theta, cfg, [specs[i].values for i in rows])
+            if caches is not None:
+                caches.append((rows, cache))
+            del cache
+    return emb
+
+
+def embed_batch(model: EmbeddingModel, specs) -> np.ndarray:
+    """(N, embed_dim) L2-normalized embeddings of N spectrograms of any
+    lengths, forwarded at most EMBED_CHUNK clips at a time."""
+    return _bucketed_forward(model.parameters.astype(np.float64), model.config, specs, EMBED_CHUNK)
+
+
 def embed(model: EmbeddingModel, spec: Spectrogram) -> np.ndarray:
     """L2-normalized embedding of one spectrogram."""
-    theta = model.parameters.astype(np.float64)
-    e, _ = _forward(theta, model.config, [spec.values])
-    return e[0]
+    return embed_batch(model, [spec])[0]
 
 
 def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, m: float) -> float:
@@ -249,15 +273,8 @@ def loss_and_gradients(model: EmbeddingModel, batch, m: float):
     cfg = model.config
     specs = list({id(s): s for triple in batch for s in triple}.values())
     index = {id(s): i for i, s in enumerate(specs)}
-    buckets: dict[int, list[int]] = {}
-    for i, spec in enumerate(specs):
-        buckets.setdefault(spec.values.shape[0], []).append(i)
-
-    emb = np.empty((len(specs), cfg.embed_dim))
     caches = []
-    for members in buckets.values():
-        emb[members], cache = _forward(theta, cfg, [specs[i].values for i in members])
-        caches.append((members, cache))
+    emb = _bucketed_forward(theta, cfg, specs, len(specs), caches)
 
     ia, ip, ineg = np.array(
         [[index[id(s)] for s in triple] for triple in batch]).T

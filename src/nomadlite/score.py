@@ -1,13 +1,12 @@
 """Embedding-distance scoring against matching or non-matching references."""
 
-import hashlib
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .audio_core import SpectrogramConfig, Waveform, log_band_spectrogram
 from .errors import EmptyPoolError
-from .net import EmbeddingModel, _backward, _forward, embed
+from .net import EmbeddingModel, _backward, _forward, embed, embed_batch
 from .table import read_table, write_table
 
 SCORE_COLUMNS = (
@@ -19,29 +18,27 @@ def _embed_wav(model: EmbeddingModel, w: Waveform, spec_cfg=None) -> np.ndarray:
     return embed(model, log_band_spectrogram(w, spec_cfg))
 
 
-def _param_hash(model: EmbeddingModel) -> str:
-    return hashlib.sha256(model.parameters.tobytes()).hexdigest()
-
-
 @dataclass
 class ReferencePool:
-    """Clean reference clips; embeddings are computed once per model and
-    cached keyed by the model's parameter hash."""
+    """Clean reference clips. Their embeddings are computed in one batch and
+    cached for the last model seen, keyed by its exact config and parameters."""
 
     references: list[Waveform]
     pool_id: str = "pool"
     spec_cfg: SpectrogramConfig | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    # (config, parameters, embeddings), replaced whole so readers see one model's
+    _cache: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     def embeddings(self, model: EmbeddingModel) -> np.ndarray:
         if not self.references:
             raise EmptyPoolError(f"pool {self.pool_id!r} is empty")
-        key = _param_hash(model)
-        if key not in self._cache:
-            self._cache[key] = np.stack(
-                [_embed_wav(model, w, self.spec_cfg) for w in self.references]
-            )
-        return self._cache[key]
+        config, parameters, emb = self._cache
+        if config == model.config and np.array_equal(parameters, model.parameters):
+            return emb
+        snapshot = EmbeddingModel(model.parameters.copy(), model.config)
+        emb = embed_batch(snapshot, [log_band_spectrogram(w, self.spec_cfg) for w in self.references])
+        self._cache = (snapshot.config, snapshot.parameters, emb)
+        return emb
 
 
 def nomad_distance(model: EmbeddingModel, a: Waveform, b: Waveform) -> float:

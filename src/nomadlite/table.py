@@ -4,17 +4,20 @@ A table is declared once as ``(name, type, format_spec)`` columns. Files are
 UTF-8, written by the ``csv`` module with ``"\\n"`` line endings, and start
 with exactly the column names; a cell is written as ``format(value, spec)``
 and read back as ``type(cell)``. A file that breaks these rules raises
-``MalformedTableError`` naming the path, the 1-based line and the column.
+``MalformedTableError`` naming the path (and the 1-based line and column).
 """
 
 import csv
+from contextlib import nullcontext
 
 from .errors import MalformedTableError
 
 
-def write_table(path, columns, rows) -> None:
-    """Write the header and one line per row (a sequence of column values)."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
+def write_table(dest, columns, rows) -> None:
+    """Write the header and one line per row (a sequence of column values) to
+    a path or to an open text stream such as ``sys.stdout``."""
+    with (nullcontext(dest) if hasattr(dest, "write")
+          else open(dest, "w", newline="", encoding="utf-8")) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow([name for name, _, _ in columns])
         writer.writerows([format(v, spec) for v, (_, _, spec) in zip(row, columns)] for row in rows)
@@ -32,6 +35,8 @@ def read_table(path, columns) -> list[tuple]:
             return [_parse_row(path, reader.line_num, columns, row) for row in reader if row]
         except csv.Error as e:
             raise MalformedTableError(f"{path}:{reader.line_num}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise MalformedTableError(f"{path}: not UTF-8 text ({e})") from e
 
 
 def _parse_row(path, line: int, columns, row: list[str]) -> tuple:

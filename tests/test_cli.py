@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from nomadlite.audio_core import Waveform, save_wav
+from nomadlite.audio_core import CANONICAL_RATE, Waveform, load_wav, resample, save_wav
 from nomadlite.cli import build_parser, main
 from nomadlite.degrade import ManifestRow, read_manifest, write_manifest
-from nomadlite.net import load_checkpoint
-from nomadlite.score import ScoreRow, read_scores, write_scores
+from nomadlite.net import EncoderConfig, init_model, load_checkpoint, save_checkpoint
+from nomadlite.nsim import utterance_nsim
+from nomadlite.score import ScoreRow, full_reference_score, read_scores, write_scores
 from nomadlite.triplets import read_triplets
 
 from conftest import make_utterance
@@ -74,6 +75,43 @@ class TestNsimCommand:
         assert 0.0 < value < 1.0
 
 
+class TestNonCanonicalRate:
+    """A 22.05 kHz input gives the bytes of resampling it to 16 kHz first."""
+
+    @pytest.fixture
+    def clips(self, tmp_path):
+        clean = make_utterance(seed=3, duration_s=1.0, sr=22050)
+        noisy = clean.samples + 0.05 * np.random.default_rng(1).standard_normal(len(clean.samples))
+        (tmp_path / "pool").mkdir()
+        (tmp_path / "in").mkdir()
+        ref, deg = tmp_path / "pool" / "s__clean.wav", tmp_path / "in" / "s__noise_l0.wav"
+        save_wav(clean, ref)
+        save_wav(Waveform(np.clip(noisy, -1, 1), 22050), deg)
+        return ref, deg
+
+    @staticmethod
+    def canonical(path):
+        return resample(load_wav(path), CANONICAL_RATE)
+
+    def test_nsim(self, clips, capsys):
+        ref, deg = clips
+        assert main(["--quiet", "nsim", "--ref", str(ref), "--deg", str(deg)]) == 0
+        expect = utterance_nsim(self.canonical(ref), self.canonical(deg))
+        assert capsys.readouterr().out == f"{expect:.6f}\n"
+
+    def test_score_fr(self, clips, tmp_path):
+        ref, deg = clips
+        model = init_model(EncoderConfig(init_seed=3))
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        out = tmp_path / "scores.csv"
+        assert main(["--quiet", "score", "--model", str(tmp_path / "m.ckpt"),
+                     "--input-dir", str(deg.parent), "--pool-dir", str(ref.parent),
+                     "--mode", "fr", "--out", str(out)]) == 0
+        value = full_reference_score(model, self.canonical(deg), self.canonical(ref))
+        write_scores([ScoreRow(str(deg), value, "fr", str(ref))], tmp_path / "expect.csv")
+        assert out.read_bytes() == (tmp_path / "expect.csv").read_bytes()
+
+
 class TestConfigFile:
     def test_overrides_defaults_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -123,7 +161,7 @@ class TestConfigFile:
 class TestEvalOut:
     """Exact bytes of the eval-mos and eval-rank --out tables."""
 
-    def test_eval_mos_out(self, tmp_path):
+    def test_eval_mos_out(self, tmp_path, capsys):
         write_scores([ScoreRow(f"{c}.wav", s, "nmr", "p") for c, s in
                       [("a1", 0.1), ("a2", 0.3), ("b1", 0.7), ("b2", 0.9)]], tmp_path / "s.csv")
         (tmp_path / "mos.csv").write_text(
@@ -138,8 +176,15 @@ class TestEvalOut:
             b'"mild, low",0.200000000000,4.500000000000\n'
             b"severe,0.800000000000,1.500000000000\n"
         )
+        # stdout keeps its 6 decimals and quotes the same cell
+        assert capsys.readouterr().out == (
+            "conditions: 2  PC: -1.0000  SC: -1.0000\n"
+            "condition_id,mean_score,mean_mos\n"
+            '"mild, low",0.200000,4.500000\n'
+            "severe,0.800000,1.500000\n"
+        )
 
-    def test_eval_rank_out(self, tmp_path):
+    def test_eval_rank_out(self, tmp_path, capsys):
         clips = [("c0", "clip", 0, 5.0, 0.1), ("c1", "clip", 1, 10.0, 0.2),
                  ("c2", "clip", 2, 25.0, 0.3), ("n0", "noise", 0, 0.0, 0.5),
                  ("n1", "noise", 1, 8.0, 0.5)]
@@ -151,6 +196,7 @@ class TestEvalOut:
         assert main(["--quiet", "eval-rank", "--scores", str(tmp_path / "s.csv"),
                      "--manifest", str(tmp_path / "m.csv"), "--out", str(out)]) == 0
         assert out.read_bytes() == b"family,spearman\nclip,+1.0000\nnoise,undefined\n"
+        assert capsys.readouterr().out == "family,spearman\nclip,+1.0000\nnoise,undefined\n"
 
 
 @pytest.fixture(scope="module")

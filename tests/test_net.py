@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nomadlite import net
 from nomadlite.audio_core import Spectrogram
 from nomadlite.errors import BandMismatchError, CorruptCheckpointError
 from nomadlite.net import (
@@ -13,6 +14,7 @@ from nomadlite.net import (
     EmbeddingModel,
     EncoderConfig,
     embed,
+    embed_batch,
     init_model,
     load_checkpoint,
     loss_and_gradients,
@@ -126,6 +128,52 @@ class TestEmbed:
         m = init_model(TINY)
         with pytest.raises(BandMismatchError):
             embed(m, random_spec(np.random.default_rng(4), 20, 3))
+
+
+class TestEmbedBatch:
+    """One batched entry for a set of clips of any lengths, rows in input order."""
+
+    @pytest.fixture(scope="class")
+    def ragged(self):
+        cfg = EncoderConfig()
+        rng = np.random.default_rng(5)
+        a = random_spec(rng, 298, cfg.bands)
+        specs = [a, random_spec(rng, 120, cfg.bands),
+                 random_spec(rng, cfg.min_frames - 1, cfg.bands), a,
+                 random_spec(rng, 298, cfg.bands)]
+        return init_model(cfg), specs
+
+    def test_rows_equal_embed(self, ragged):
+        m, specs = ragged
+        out = embed_batch(m, specs)
+        assert out.shape == (len(specs), m.config.embed_dim)
+        for row, s in zip(out, specs):
+            assert np.max(np.abs(row - embed(m, s))) <= 1e-15
+        assert np.array_equal(out[0], out[3])
+
+    def test_permuted_input_gives_permuted_rows(self, ragged):
+        m, specs = ragged
+        perm = [4, 2, 0, 1, 3]
+        assert np.array_equal(embed_batch(m, [specs[i] for i in perm]),
+                              embed_batch(m, specs)[perm])
+
+    def test_chunks_of_one_are_embed_exactly(self, ragged, monkeypatch):
+        m, specs = ragged
+        monkeypatch.setattr(net, "EMBED_CHUNK", 1)
+        assert np.array_equal(embed_batch(m, specs), np.stack([embed(m, s) for s in specs]))
+
+    def test_more_clips_than_one_chunk(self):
+        m = init_model(TINY)
+        rng = np.random.default_rng(6)
+        specs = [random_spec(rng, 40, 2) for _ in range(net.EMBED_CHUNK + 3)]
+        out = embed_batch(m, specs)
+        for row, s in zip(out, specs):
+            assert np.max(np.abs(row - embed(m, s))) <= 1e-15
+
+    def test_band_mismatch(self, ragged):
+        m, specs = ragged
+        with pytest.raises(BandMismatchError):
+            embed_batch(m, [specs[0], random_spec(np.random.default_rng(7), 298, 31)])
 
 
 def max_fd_error(batch):

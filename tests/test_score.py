@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from nomadlite.audio_core import Waveform
 from nomadlite.errors import EmptyPoolError
-from nomadlite.net import EncoderConfig, init_model
+from nomadlite.net import EmbeddingModel, EncoderConfig, init_model
 from nomadlite.score import (
     ReferencePool,
     ScoreRow,
@@ -18,6 +20,7 @@ from nomadlite.score import (
     read_scores,
     write_scores,
 )
+from nomadlite.train import _sgd_step
 
 # small but full-width encoder so real waveforms can be scored quickly
 SMALL = EncoderConfig(bands=32, conv_channels=(8, 16), kernel=3, stride=2,
@@ -109,6 +112,40 @@ class TestPool:
         other = init_model(EncoderConfig(bands=32, conv_channels=(8, 16), kernel=3,
                                          stride=2, embed_dim=16, init_seed=1))
         assert pool.embeddings(other) is not e1
+
+
+class TestPoolCache:
+    """The pool's cached embeddings are only ever those of the model asked."""
+
+    def test_same_parameters_other_config_is_a_miss(self, model):
+        refs = [wav(s) for s in (50, 51, 52)]
+        test = wav(53)
+        pool = ReferencePool(refs, "p")
+        pooled_score(model, test, pool)
+        strided = EmbeddingModel(model.parameters.copy(), replace(model.config, stride=3))
+        expect = np.mean([nomad_distance(strided, test, r) for r in refs])
+        assert abs(pooled_score(strided, test, pool) - expect) <= 1e-12
+
+    @pytest.mark.parametrize("edit", ["one_weight_in_place", "sgd_step"])
+    def test_parameter_edit_is_a_miss(self, edit):
+        model = init_model(SMALL)
+        pool = ReferencePool([wav(60), wav(61)], "p")
+        before = pool.embeddings(model).copy()
+        if edit == "one_weight_in_place":
+            model.parameters[-1] += 0.5  # a head bias: moves every embedding
+        else:
+            rng = np.random.default_rng(0)
+            _sgd_step(model, rng.standard_normal(model.parameters.size), 1e-2)
+        after = pool.embeddings(model)
+        assert not np.allclose(after, before)
+        assert np.array_equal(after, ReferencePool(pool.references, "p").embeddings(model))
+
+    def test_cache_is_not_an_init_argument(self, model):
+        with pytest.raises(TypeError):
+            ReferencePool([wav(70)], "p", None, {})
+        pool = ReferencePool([wav(70)], "p")
+        pool.embeddings(model)
+        assert "_cache" not in repr(pool)
 
 
 class TestFeatureLoss:

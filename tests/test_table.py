@@ -112,6 +112,16 @@ def _cli_args(tmp_path, reader: str, bad) -> list[str]:
     }[reader]
 
 
+def test_non_utf8_table_exits_one(tmp_path, capsys):
+    mos = tmp_path / "mos_latin1.csv"
+    mos.write_bytes("clip_path,condition_id,mos\na.wav,caf\u00e9,3.5\n".encode("latin-1"))
+    with pytest.raises(MalformedTableError):
+        read_mos(mos)
+    assert main(["--quiet", *_cli_args(tmp_path, "mos", mos)]) == 1
+    err = capsys.readouterr().err
+    assert str(mos) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_malformed_table_exits_one(tmp_path, capsys, reader, case):
