@@ -5,6 +5,8 @@ resamples its input first.
 """
 
 import functools
+import math
+import numbers
 import wave
 from dataclasses import dataclass
 
@@ -14,6 +16,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CorruptHeaderError, SignalTooShortError, UnsupportedFormatError
 
 CANONICAL_RATE = 16000
+
+# Samples per block of frames that log_band_spectrogram windows and
+# transforms at once (32 frames of the default 400-sample window). Each
+# block temporary then stays near 100 KiB: below glibc's default 128 KiB
+# mmap threshold, so it is reused from the heap instead of being mapped and
+# faulted in again on every call, and small enough to stay in L2.
+FFT_BLOCK_SAMPLES = 12800
+
+
+def _check_positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -63,6 +77,21 @@ class SpectrogramConfig:
     fmax: float = 8000.0
     power_floor: float = 1e-10
 
+    def __post_init__(self):
+        for name in ("sample_rate", "window", "hop", "bands"):
+            _check_positive_int(name, getattr(self, name))
+        if not self.fmin >= 0:
+            raise ValueError(f"fmin must be nonnegative, got {self.fmin!r}")
+        if not self.fmin < self.fmax <= self.sample_rate / 2:
+            raise ValueError(
+                f"fmax must lie in (fmin, sample_rate / 2] = "
+                f"({self.fmin!r}, {self.sample_rate / 2!r}], got {self.fmax!r}"
+            )
+        if not (self.power_floor > 0 and math.isfinite(self.power_floor)):
+            raise ValueError(
+                f"power_floor must be positive and finite, got {self.power_floor!r}"
+            )
+
 
 def load_wav(path) -> Waveform:
     """Read a RIFF PCM 16-bit mono WAV file, scaled to [-1, 1] by 1/32768."""
@@ -79,7 +108,7 @@ def load_wav(path) -> Waveform:
     pcm = np.frombuffer(raw, dtype="<i2")
     if pcm.size < 1:
         raise CorruptHeaderError(f"{path}: no audio frames")
-    return Waveform(pcm.astype(np.float64) / 32768.0, rate)
+    return Waveform(np.multiply(pcm, 1 / 32768.0, dtype=np.float64), rate)
 
 
 def save_wav(w: Waveform, path) -> Waveform:
@@ -93,7 +122,7 @@ def save_wav(w: Waveform, path) -> Waveform:
         f.setsampwidth(2)
         f.setframerate(w.sample_rate)
         f.writeframes(pcm.tobytes())
-    return Waveform(pcm.astype(np.float64) / 32768.0, w.sample_rate)
+    return Waveform(np.multiply(pcm, 1 / 32768.0, dtype=np.float64), w.sample_rate)
 
 
 def _design_lowpass(up: int, down: int) -> np.ndarray:
@@ -176,7 +205,13 @@ def _mel_filterbank(bands: int, nfft: int, sr: int, fmin: float, fmax: float) ->
 
 
 def log_band_spectrogram(w: Waveform, cfg: SpectrogramConfig | None = None) -> Spectrogram:
-    """Hann-windowed STFT power pooled into mel bands, log10 with a floor."""
+    """Hann-windowed STFT power pooled into mel bands, log10 with a floor.
+
+    Frames are windowed and transformed ``FFT_BLOCK_SAMPLES`` at a time into
+    one power array; rfft rows are independent, so this equals transforming
+    all frames at once. The mel pooling stays one GEMM over the whole array:
+    a GEMM per block would let BLAS pick other kernels for the short blocks
+    and change the last bits."""
     cfg = cfg or SpectrogramConfig()
     if w.sample_rate != cfg.sample_rate:
         w = resample(w, cfg.sample_rate)
@@ -185,10 +220,17 @@ def log_band_spectrogram(w: Waveform, cfg: SpectrogramConfig | None = None) -> S
         raise SignalTooShortError(
             f"signal of {len(x)} samples shorter than window {cfg.window}"
         )
-    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window)[:: cfg.hop]
-    spec = np.fft.rfft(frames * _hann(cfg.window), axis=1)
-    power = spec.real**2 + spec.imag**2
+    frames = sliding_window_view(x, cfg.window)[:: cfg.hop]
+    win = _hann(cfg.window)
+    power = np.empty((len(frames), cfg.window // 2 + 1))
+    step = max(1, FFT_BLOCK_SAMPLES // cfg.window)
+    for i in range(0, len(frames), step):
+        spec = np.fft.rfft(frames[i : i + step] * win, axis=1)
+        block = power[i : i + step]
+        np.multiply(spec.real, spec.real, out=block)
+        block += spec.imag**2
     fb = _mel_filterbank(cfg.bands, cfg.window, cfg.sample_rate, cfg.fmin, cfg.fmax)
-    band_power = power @ fb.T
-    values = np.log10(np.maximum(band_power, cfg.power_floor))
+    values = power @ fb.T
+    np.maximum(values, cfg.power_floor, out=values)
+    np.log10(values, out=values)
     return Spectrogram(values, cfg.hop / cfg.sample_rate, cfg.bands)

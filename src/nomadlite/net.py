@@ -15,13 +15,12 @@ round-trip bit-exactly.
 """
 
 import json
-import numbers
 import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio_core import Spectrogram
+from .audio_core import Spectrogram, _check_positive_int
 from .errors import BandMismatchError, CorruptCheckpointError
 
 CHECKPOINT_MAGIC = b"NOMAD1\n"
@@ -29,11 +28,6 @@ FORMAT_VERSION = 1
 NORM_EPS = 1e-12
 # clips per forward in embed_batch: a default training step's 8 triplets
 EMBED_CHUNK = 24
-
-
-def _check_positive_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)

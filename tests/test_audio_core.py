@@ -1,9 +1,11 @@
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from nomadlite.audio_core import (
     SpectrogramConfig,
@@ -39,6 +41,38 @@ def zero_stuff_reference(x, rate, target):
     full = np.convolve(stuffed, h)
     n_out = round(len(x) * up / down)
     return full[np.arange(n_out) * down + (len(h) - 1) // 2]
+
+
+def one_shot_reference(w, cfg=None):
+    """The front end as one expression: every frame windowed and transformed
+    at once, then pooled and floored."""
+    cfg = cfg or SpectrogramConfig()
+    if w.sample_rate != cfg.sample_rate:
+        w = resample(w, cfg.sample_rate)
+    frames = sliding_window_view(w.samples, cfg.window)[:: cfg.hop]
+    spec = np.fft.rfft(frames * np.hanning(cfg.window), axis=1)
+    power = spec.real**2 + spec.imag**2
+    fb = _mel_filterbank(cfg.bands, cfg.window, cfg.sample_rate, cfg.fmin, cfg.fmax)
+    return np.log10(np.maximum(power @ fb.T, cfg.power_floor))
+
+
+DEGENERATE_CONFIGS = [
+    ("hop", {"hop": -1}),
+    ("hop", {"hop": 0}),
+    ("window", {"window": 0}),
+    ("bands", {"bands": 0}),
+    ("sample_rate", {"sample_rate": 0}),
+    ("window", {"window": 400.0}),
+    ("hop", {"hop": True}),
+    ("fmin", {"fmin": -1.0}),
+    ("fmax", {"fmin": 9000.0, "fmax": 8000.0}),
+    ("fmax", {"fmax": 0.0}),
+    ("fmax", {"fmax": 8001.0}),
+    ("fmax", {"fmax": float("nan")}),
+    ("power_floor", {"power_floor": 0.0}),
+    ("power_floor", {"power_floor": -1e-10}),
+    ("power_floor", {"power_floor": float("inf")}),
+]
 
 
 class TestLoadWav:
@@ -96,6 +130,16 @@ class TestLoadWav:
         back = load_wav(path)
         assert written.sample_rate == back.sample_rate == 22050
         assert np.array_equal(written.samples, back.samples)
+
+    def test_every_int16_value_scales_as_division(self, tmp_path):
+        pcm = np.arange(-32768, 32768, dtype="<i2")
+        expected = pcm.astype(np.float64) / 32768.0
+        path = tmp_path / "all.wav"
+        write_raw_wav(path, pcm.tobytes())
+        assert np.array_equal(load_wav(path).samples, expected)
+        written = save_wav(Waveform(expected, 16000), tmp_path / "back.wav")
+        assert np.array_equal(written.samples, expected)
+        assert np.array_equal(load_wav(tmp_path / "back.wav").samples, expected)
 
 
 class TestResample:
@@ -169,9 +213,43 @@ class TestSpectrogram:
     @given(st.integers(min_value=400, max_value=20000))
     @settings(max_examples=30, deadline=None)
     def test_framing_count_law(self, n):
-        w = Waveform(np.ones(n) * 0.1, 16000)
+        w = Waveform(np.random.default_rng(n).uniform(-0.5, 0.5, n), 16000)
         s = log_band_spectrogram(w)
         assert s.values.shape[0] == (n - 400) // 160 + 1
+        assert np.array_equal(s.values, one_shot_reference(w))
+
+    @pytest.mark.parametrize("frames", [1, 31, 32, 33, 64, 65, 298, 1000])
+    def test_blocked_stft_equals_one_shot(self, frames):
+        # block edges fall every 32 frames of the default 400-sample window
+        n = 400 + (frames - 1) * 160
+        w = Waveform(np.random.default_rng(frames).uniform(-0.5, 0.5, n), 16000)
+        s = log_band_spectrogram(w)
+        assert s.values.shape[0] == frames
+        assert np.array_equal(s.values, one_shot_reference(w))
+
+    @pytest.mark.parametrize(
+        "rate, cfg", [(22050, None), (16000, SpectrogramConfig(window=512, hop=128, bands=16))]
+    )
+    def test_blocked_stft_equals_one_shot_other_inputs(self, rate, cfg):
+        w = Waveform(np.random.default_rng(rate).uniform(-0.5, 0.5, rate), rate)
+        s = log_band_spectrogram(w, cfg)
+        assert np.array_equal(s.values, one_shot_reference(w, cfg))
+
+    def test_peak_temporaries_of_a_3s_clip(self):
+        w = Waveform(np.random.default_rng(11).uniform(-0.5, 0.5, 48000), 16000)
+        log_band_spectrogram(w)  # builds the cached window and filterbank
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            log_band_spectrogram(w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_scale_shift_law(self):
         rng = np.random.default_rng(5)
@@ -202,6 +280,13 @@ class TestSpectrogram:
         w = Waveform(np.random.default_rng(8).uniform(-0.5, 0.5, 16000), 16000)
         s = log_band_spectrogram(w, SpectrogramConfig(bands=16))
         assert s.values.shape[1] == 16
+
+    @pytest.mark.parametrize(
+        "field, kwargs", DEGENERATE_CONFIGS, ids=[repr(kw) for _, kw in DEGENERATE_CONFIGS]
+    )
+    def test_config_rejects_degenerate_values(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            SpectrogramConfig(**kwargs)
 
     def test_cached_tables_are_read_only_and_exact(self):
         cfg = SpectrogramConfig()
