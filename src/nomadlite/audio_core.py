@@ -46,10 +46,6 @@ class Waveform:
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass
 class Spectrogram:

@@ -11,9 +11,9 @@ from dataclasses import astuple
 from pathlib import Path
 
 from . import degrade, evaluate, score as scoring, train as training, triplets as tri
-from .audio_core import load_wav
+from .audio_core import _check_positive_int, load_wav
 from .errors import NomadError
-from .net import EncoderConfig, load_checkpoint, save_checkpoint
+from .net import load_checkpoint, save_checkpoint
 from .nsim import utterance_nsim
 from .table import write_table
 
@@ -43,6 +43,16 @@ def _load_config_file(path: str) -> dict:
         key, value = line.split("=", 1)
         overrides[key.strip().replace("-", "_")] = value.strip()
     return overrides
+
+
+def _config_value(action: argparse.Action, raw: str):
+    """A config-file value as the flag's type; a flag that takes no value
+    (such as --quiet) accepts only true or false, in any case."""
+    if action.nargs == 0:
+        if raw.lower() not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return raw.lower() == "true"
+    return action.type(raw) if action.type else raw
 
 
 def build_parser() -> _Parser:
@@ -113,11 +123,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _echo_config(args) -> None:
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "config"}
-    log.info("resolved config: %s", resolved)
-
-
 def _cmd_synth(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     unknown = [f for f in families if f not in degrade.LEVEL_TABLES]
@@ -158,8 +163,7 @@ def _cmd_train(args) -> int:
     )
     train_recs = tri.read_triplets(args.triplets)
     val_recs = tri.read_triplets(args.val)
-    model, report = training.fit(train_recs, val_recs, cfg,
-                                 encoder_cfg=EncoderConfig(init_seed=args.seed))
+    model, report = training.fit(train_recs, val_recs, cfg)
     save_checkpoint(model, args.out)
     report.write_csv(str(args.out) + ".report.csv")
     log.info("best val loss %.6f at epoch %d (initial %.6f), %.1fs",
@@ -173,6 +177,7 @@ def _source_id_of(path: Path) -> str:
 
 
 def _cmd_score(args) -> int:
+    _check_positive_int("jobs", args.jobs)
     model = load_checkpoint(args.model)
     clips = sorted(Path(args.input_dir).glob("*.wav"))
     if not clips:
@@ -260,17 +265,21 @@ def main(argv=None) -> int:
         cfg_path = pre.parse_known_args(argv)[0].config
         if cfg_path is not None:
             overrides = _load_config_file(cfg_path)
+            unused = set(overrides)
             for p in [parser, *parser._sub_choices.values()]:
                 for action in p._actions:
-                    if action.dest not in overrides:
+                    if action.dest not in overrides or not action.option_strings:
                         continue
+                    unused.discard(action.dest)
                     raw = overrides[action.dest]
                     try:
-                        p.set_defaults(**{action.dest: action.type(raw) if action.type else raw})
+                        p.set_defaults(**{action.dest: _config_value(action, raw)})
                     except ValueError as e:
                         raise NomadError(
                             f"{cfg_path}: bad value for {action.dest}: {raw!r} ({e})"
                         ) from e
+            if unused:
+                raise NomadError(f"{cfg_path}: unknown key(s) {sorted(unused)}")
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
@@ -284,7 +293,8 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     if not args.quiet:
-        _echo_config(args)
+        log.info("resolved config: %s",
+                 {k: v for k, v in sorted(vars(args).items()) if k != "config"})
     try:
         return _COMMANDS[args.command](args)
     except (NomadError, FileNotFoundError, ValueError) as e:

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_core import CANONICAL_RATE, Waveform, load_wav, log_band_spectrogram, resample, save_wav
+from .audio_core import (
+    CANONICAL_RATE, Waveform, _check_positive_int, load_wav, log_band_spectrogram, resample, save_wav)
 from .errors import (
     DegenerateSignalError,
     EmptyCorpusError,
@@ -46,6 +47,7 @@ LEVEL_TABLES = {
     "external_codec": [8.0, 16.0, 32.0, 64.0, 128.0],        # kbps
 }
 DEFAULT_FAMILIES = ("clip", "noise", "codec_proxy_mp3like", "codec_proxy_opuslike")
+PINK_ROWS = 12  # Voss-McCartney generator rows
 
 
 @dataclass(frozen=True)
@@ -162,19 +164,19 @@ def white_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(n) * 0.1
 
 
-def pink_noise(n: int, rng: np.random.Generator, rows: int = 12) -> np.ndarray:
+def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     """Voss-McCartney pink noise."""
-    values = rng.standard_normal(rows + 1)
+    values = rng.standard_normal(PINK_ROWS + 1)
     out = np.empty(n)
     for i in range(n):
         if i > 0:
             # rows toggle at octave-spaced intervals
             bit = (i & -i).bit_length() - 1
-            row = min(bit, rows - 1)
+            row = min(bit, PINK_ROWS - 1)
             values[row] = rng.standard_normal()
-        values[rows] = rng.standard_normal()
+        values[PINK_ROWS] = rng.standard_normal()
         out[i] = values.sum()
-    return out / (rows + 1) * 0.3
+    return out / (PINK_ROWS + 1) * 0.3
 
 
 def condition_rng(seed: int, source_id: str, c: DegradationCondition) -> np.random.Generator:
@@ -256,6 +258,7 @@ def synth_dataset(
 
     Per-file failures are skipped with a warning; an empty result is an error.
     """
+    _check_positive_int("jobs", jobs)
     clean_dir = Path(clean_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .audio_core import Spectrogram, _check_positive_int
-from .errors import BandMismatchError, CorruptCheckpointError
+from .errors import BandMismatchError, CorruptCheckpointError, ShapeMismatchError
 
 CHECKPOINT_MAGIC = b"NOMAD1\n"
 FORMAT_VERSION = 1
@@ -244,6 +244,33 @@ def embed_batch(model: EmbeddingModel, specs) -> np.ndarray:
 def embed(model: EmbeddingModel, spec: Spectrogram) -> np.ndarray:
     """L2-normalized embedding of one spectrogram."""
     return embed_batch(model, [spec])[0]
+
+
+def feature_loss_spec(model: EmbeddingModel, clean_values: np.ndarray, est_values: np.ndarray):
+    """Deep feature L1 loss between two equal-shape (T, bands) spectrograms.
+
+    Per conv layer: mean over frames of the per-frame L1 distance between
+    activations; plus the L1 distance between the final embeddings. Both clips
+    take one stacked forward, and only the estimate's row is backpropagated.
+    Returns (loss, gradient wrt est_values)."""
+    if clean_values.shape != est_values.shape:
+        raise ShapeMismatchError(f"shapes differ: {clean_values.shape} vs {est_values.shape}")
+    cfg = model.config
+    e, cache = _forward(model.parameters.astype(np.float64), cfg, [clean_values, est_values])
+    loss = 0.0
+    layer_grads = []
+    for a in cache["xs"][1:]:
+        t = a.shape[1]
+        diff = a[1:] - a[:1]
+        loss += float(np.sum(np.abs(diff))) / t
+        layer_grads.append(np.sign(diff) / t)
+    emb_diff = e[1:] - e[:1]
+    loss += float(np.sum(np.abs(emb_diff)))
+
+    _select(cache, [1])
+    _, input_grad = _backward(cache, cfg, np.sign(emb_diff), layer_grads=layer_grads,
+                              want_input_grad=True)
+    return loss, input_grad[0, : len(est_values)]  # drop min_frames padding
 
 
 def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, m: float) -> float:

@@ -11,18 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_core import Spectrogram, SpectrogramConfig, Waveform, log_band_spectrogram
+from .audio_core import Spectrogram, Waveform, log_band_spectrogram
 from .errors import PatchTooLargeError, ShapeMismatchError
 
 log = logging.getLogger(__name__)
+
+C1_SCALE = 0.01
+C23_SCALE = 0.03
 
 
 @dataclass
 class NsimConfig:
     patch_t: int = 3
     patch_b: int = 3
-    c1_scale: float = 0.01
-    c23_scale: float = 0.03
     intensity_range: float | None = None  # None: from the reference spectrogram
 
     def __post_init__(self):
@@ -30,8 +31,6 @@ class NsimConfig:
             raise ValueError("patch_t must be odd and >= 1")
         if self.patch_b < 1 or self.patch_b % 2 == 0:
             raise ValueError("patch_b must be odd and >= 1")
-        if self.c1_scale <= 0 or self.c23_scale <= 0:
-            raise ValueError("constant scales must be positive")
 
 
 @dataclass
@@ -89,8 +88,8 @@ def nsim(ref: Spectrogram, deg: Spectrogram, cfg: NsimConfig | None = None) -> N
     mu_r, mu_d, var_r, var_d, cov = _patch_stats(r, d, cfg.patch_t, cfg.patch_b)
     sig_r = np.sqrt(np.maximum(var_r, 0.0))
     sig_d = np.sqrt(np.maximum(var_d, 0.0))
-    c1 = cfg.c1_scale * L
-    c3 = (cfg.c23_scale * L) ** 2
+    c1 = C1_SCALE * L
+    c3 = (C23_SCALE * L) ** 2
     luminance = (2 * mu_r * mu_d + c1) / (mu_r**2 + mu_d**2 + c1)
     structure = (cov + c3) / (sig_r * sig_d + c3)
     q = luminance * structure
@@ -107,20 +106,14 @@ def nsim(ref: Spectrogram, deg: Spectrogram, cfg: NsimConfig | None = None) -> N
     return NsimScore(utterance, patch_scores, excursion)
 
 
-def utterance_nsim(
-    ref: Waveform | Spectrogram,
-    deg_wav: Waveform,
-    cfg: NsimConfig | None = None,
-    spec_cfg: SpectrogramConfig | None = None,
-) -> float:
+def utterance_nsim(ref: Waveform | Spectrogram, deg_wav: Waveform) -> float:
     """NSIM of two waveforms through the shared front-end, trimmed to the
     common frame count (frame counts may differ by at most one).
 
-    ``ref`` may also be the reference's ``log_band_spectrogram`` under the
-    same ``spec_cfg``, so that many clips scored against one reference
-    share its front-end pass."""
-    sr = ref if isinstance(ref, Spectrogram) else log_band_spectrogram(ref, spec_cfg)
-    sd = log_band_spectrogram(deg_wav, spec_cfg)
+    ``ref`` may also be the reference's ``log_band_spectrogram``, so that
+    many clips scored against one reference share its front-end pass."""
+    sr = ref if isinstance(ref, Spectrogram) else log_band_spectrogram(ref)
+    sd = log_band_spectrogram(deg_wav)
     t = min(sr.values.shape[0], sd.values.shape[0])
     if max(sr.values.shape[0], sd.values.shape[0]) - t > 1:
         raise ShapeMismatchError(
@@ -128,4 +121,4 @@ def utterance_nsim(
         )
     sr = Spectrogram(sr.values[:t], sr.frame_hop_s, sr.band_count)
     sd = Spectrogram(sd.values[:t], sd.frame_hop_s, sd.band_count)
-    return nsim(sr, sd, cfg).utterance
+    return nsim(sr, sd).utterance

@@ -4,9 +4,9 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .audio_core import SpectrogramConfig, Waveform, log_band_spectrogram
+from .audio_core import Waveform, log_band_spectrogram
 from .errors import EmptyPoolError
-from .net import EmbeddingModel, _backward, _forward, embed, embed_batch
+from .net import EmbeddingModel, embed, embed_batch, feature_loss_spec
 from .table import read_table, write_table
 
 SCORE_COLUMNS = (
@@ -14,8 +14,8 @@ SCORE_COLUMNS = (
 )
 
 
-def _embed_wav(model: EmbeddingModel, w: Waveform, spec_cfg=None) -> np.ndarray:
-    return embed(model, log_band_spectrogram(w, spec_cfg))
+def _embed_wav(model: EmbeddingModel, w: Waveform) -> np.ndarray:
+    return embed(model, log_band_spectrogram(w))
 
 
 @dataclass
@@ -25,7 +25,6 @@ class ReferencePool:
 
     references: list[Waveform]
     pool_id: str = "pool"
-    spec_cfg: SpectrogramConfig | None = None
     # (config, parameters, embeddings), replaced whole so readers see one model's
     _cache: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
@@ -36,7 +35,7 @@ class ReferencePool:
         if config == model.config and np.array_equal(parameters, model.parameters):
             return emb
         snapshot = EmbeddingModel(model.parameters.copy(), model.config)
-        emb = embed_batch(snapshot, [log_band_spectrogram(w, self.spec_cfg) for w in self.references])
+        emb = embed_batch(snapshot, [log_band_spectrogram(w) for w in self.references])
         self._cache = (snapshot.config, snapshot.parameters, emb)
         return emb
 
@@ -49,7 +48,7 @@ def nomad_distance(model: EmbeddingModel, a: Waveform, b: Waveform) -> float:
 def pooled_score(model: EmbeddingModel, test: Waveform, pool: ReferencePool) -> float:
     """Mean embedding distance from the test clip to every pool member."""
     refs = pool.embeddings(model)
-    e = _embed_wav(model, test, pool.spec_cfg)
+    e = _embed_wav(model, test)
     return float(np.mean(np.linalg.norm(refs - e, axis=1)))
 
 
@@ -57,42 +56,12 @@ def full_reference_score(model: EmbeddingModel, test: Waveform, clean_counterpar
     return nomad_distance(model, test, clean_counterpart)
 
 
-def feature_loss_spec(model: EmbeddingModel, clean_values: np.ndarray, est_values: np.ndarray):
-    """Deep feature L1 loss between two (T, bands) spectrograms.
-
-    Per conv layer: mean over frames of the per-frame L1 distance between
-    activations, truncated to the common frame count; plus the L1 distance
-    between the final embeddings. Returns (loss, gradient wrt est_values)."""
-    theta = model.parameters.astype(np.float64)
-    cfg = model.config
-    e_c, cache_c = _forward(theta, cfg, [clean_values])
-    e_e, cache_e = _forward(theta, cfg, [est_values])
-
-    loss = 0.0
-    layer_grads = []
-    for a_c, a_e in zip(cache_c["xs"][1:], cache_e["xs"][1:]):
-        t = min(a_c.shape[1], a_e.shape[1])
-        diff = a_e[:, :t] - a_c[:, :t]
-        loss += float(np.sum(np.abs(diff))) / t
-        g = np.zeros_like(a_e)
-        g[:, :t] = np.sign(diff) / t
-        layer_grads.append(g)
-    emb_diff = e_e - e_c
-    loss += float(np.sum(np.abs(emb_diff)))
-
-    _, input_grad = _backward(
-        cache_e, cfg, np.sign(emb_diff), layer_grads=layer_grads, want_input_grad=True
-    )
-    input_grad = input_grad[0, : len(est_values)]  # drop min_frames padding
-    return loss, input_grad
-
-
-def feature_loss(model: EmbeddingModel, clean: Waveform, estimate: Waveform,
-                 spec_cfg: SpectrogramConfig | None = None):
-    """Waveform-level wrapper; durations are trimmed to the common frame count
-    and the gradient is taken wrt the estimate's spectrogram."""
-    sc = log_band_spectrogram(clean, spec_cfg)
-    se = log_band_spectrogram(estimate, spec_cfg)
+def feature_loss(model: EmbeddingModel, clean: Waveform, estimate: Waveform):
+    """Waveform-level wrapper of ``feature_loss_spec``; durations are trimmed
+    to the common frame count and the gradient is taken wrt the estimate's
+    spectrogram."""
+    sc = log_band_spectrogram(clean)
+    se = log_band_spectrogram(estimate)
     t = min(sc.values.shape[0], se.values.shape[0])
     return feature_loss_spec(model, sc.values[:t], se.values[:t])
 

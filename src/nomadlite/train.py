@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_core import Spectrogram, SpectrogramConfig, load_wav, log_band_spectrogram
+from .audio_core import Spectrogram, _check_positive_int, load_wav, log_band_spectrogram
 from .errors import DataError
 from .net import (
     EmbeddingModel,
@@ -39,12 +39,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.decay_interval < 1:
-            raise ValueError(f"decay_interval must be >= 1, got {self.decay_interval}")
-        if min(self.margin, self.lr, self.lr_decay, self.patience) < 0:
-            raise ValueError("config values must be nonnegative")
+        for name in ("batch_size", "decay_interval"):
+            _check_positive_int(name, getattr(self, name))
+        for name in ("margin", "lr", "lr_decay", "patience"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if self.patience > self.max_epochs and self.max_epochs > 0:
             log.warning("patience %d exceeds max_epochs %d", self.patience, self.max_epochs)
 
@@ -64,13 +64,12 @@ class TrainReport:
 class SpectrogramCache:
     """Loads and caches the spectrogram of each clip path once."""
 
-    def __init__(self, spec_cfg: SpectrogramConfig | None = None):
-        self.spec_cfg = spec_cfg or SpectrogramConfig()
+    def __init__(self):
         self._cache: dict[str, Spectrogram] = {}
 
     def get(self, path: str) -> Spectrogram:
         if path not in self._cache:
-            self._cache[path] = log_band_spectrogram(load_wav(path), self.spec_cfg)
+            self._cache[path] = log_band_spectrogram(load_wav(path))
         return self._cache[path]
 
     def triple(self, r: TripletRecord):

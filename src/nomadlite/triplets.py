@@ -25,6 +25,8 @@ TRIPLET_COLUMNS = (
     ("negative_path", str, ""), ("q_a", float, ".17g"), ("q_p", float, ".17g"),
     ("q_n", float, ".17g"), ("strategy", str, ""),
 )
+MIN_ENTRIES = 3  # degraded rows a source needs to form triplets
+MAX_ATTEMPTS_PER_TRIPLET = 100
 
 
 @dataclass
@@ -58,15 +60,15 @@ class SamplerConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("s must be >= 0")
+        if not (np.isfinite(self.s) and self.s >= 0):
+            raise ValueError(f"s must be finite and >= 0, got {self.s!r}")
         if not 0.0 <= self.strategy_mix <= 1.0:
             raise ValueError("strategy_mix must be in [0, 1]")
 
 
-def build_sample_sets(manifest: list[ManifestRow], min_entries: int = 3) -> list[SampleSet]:
+def build_sample_sets(manifest: list[ManifestRow]) -> list[SampleSet]:
     """Group degraded manifest rows per source; clean rows are excluded from
-    triplet pools. Sources with fewer than min_entries rows are skipped."""
+    triplet pools. Sources with fewer than MIN_ENTRIES rows are skipped."""
     by_source: dict[str, SampleSet] = {}
     for row in manifest:
         if row.family == "clean":
@@ -77,7 +79,7 @@ def build_sample_sets(manifest: list[ManifestRow], min_entries: int = 3) -> list
     sets = []
     for source_id in sorted(by_source):
         st = by_source[source_id]
-        if len(st.entries) < min_entries:
+        if len(st.entries) < MIN_ENTRIES:
             logging.getLogger(__name__).warning(
                 "source %s has only %d degraded rows; skipped", source_id, len(st.entries)
             )
@@ -135,10 +137,7 @@ def sample_hard_negative(sample_set: SampleSet, anchor_idx: int, positive_idx: i
     return best
 
 
-def generate_triplets(
-    sets: list[SampleSet], cfg: SamplerConfig, count: int,
-    max_attempts_per_triplet: int = 100,
-) -> list[TripletRecord]:
+def generate_triplets(sets: list[SampleSet], cfg: SamplerConfig, count: int) -> list[TripletRecord]:
     """Draw count triplets: source uniform, anchor uniform within its set,
     strategy Bernoulli(strategy_mix). Deterministic for a fixed rng_seed."""
     if count < 1:
@@ -148,7 +147,7 @@ def generate_triplets(
     rng = np.random.default_rng(cfg.rng_seed)
     records: list[TripletRecord] = []
     for _ in range(count):
-        for attempt in range(max_attempts_per_triplet):
+        for attempt in range(MAX_ATTEMPTS_PER_TRIPLET):
             st = sets[rng.integers(len(sets))]
             anchor_idx = int(rng.integers(len(st.entries)))
             strategy = "easy" if rng.random() < cfg.strategy_mix else "hard"
@@ -168,7 +167,7 @@ def generate_triplets(
             break
         else:
             raise ExhaustedSamplerError(
-                f"gave up after {max_attempts_per_triplet} attempts "
+                f"gave up after {MAX_ATTEMPTS_PER_TRIPLET} attempts "
                 f"({len(records)}/{count} triplets found)"
             )
     return records

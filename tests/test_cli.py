@@ -157,6 +157,41 @@ class TestConfigFile:
                      "--co", "40", "--out", str(tmp_path)]) == 1
         assert read == []
 
+    @pytest.fixture
+    def run_nsim(self, tmp_path, monkeypatch):
+        """main() on a config file, with the nsim command replaced by one
+        that records the parsed args and exits 0."""
+        import nomadlite.cli as cli
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "nsim", lambda args: seen.append(args) or 0)
+
+        def run(text):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(text)
+            return main(["--config", str(cfg), "nsim", "--ref", "a", "--deg", "b"]), seen, cfg
+        return run
+
+    @pytest.mark.parametrize("value, quiet", [("false", False), ("FALSE", False),
+                                              ("true", True), ("True", True)])
+    def test_flag_takes_true_or_false(self, run_nsim, value, quiet):
+        rc, seen, _ = run_nsim(f"quiet={value}\n")
+        assert rc == 0
+        assert [args.quiet for args in seen] == [quiet]
+
+    @pytest.mark.parametrize("value", ["yes", "1", ""])
+    def test_flag_other_value_exits_one(self, run_nsim, capsys, value):
+        rc, seen, cfg = run_nsim(f"quiet={value}\n")
+        assert rc == 1 and seen == []
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "quiet" in err and "true or false" in err
+
+    @pytest.mark.parametrize("key", ["bacth", "max_epoch", "command"])
+    def test_unknown_key_exits_one(self, run_nsim, capsys, key):
+        rc, seen, cfg = run_nsim(f"seed=3\n{key}=4\n")
+        assert rc == 1 and seen == []
+        err = capsys.readouterr().err
+        assert str(cfg) in err and repr(key) in err
+
 
 class TestEvalOut:
     """Exact bytes of the eval-mos and eval-rank --out tables."""
@@ -321,6 +356,31 @@ class TestPipeline:
         assert manifest == (data / "manifest.csv").read_text()
         for p in sorted(data.glob("*.wav")):
             assert (parallel / p.name).read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_synth_jobs_below_one_exits_one(self, pipeline, tmp_path, capsys, jobs):
+        root, clean, data, ckpt = pipeline
+        assert main(["--quiet", "synth", "--clean-dir", str(clean), "--out", str(tmp_path),
+                     "--families", "clip", "--jobs", jobs]) == 1
+        assert "jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_score_jobs_below_one_exits_one(self, pipeline, tmp_path, capsys, jobs):
+        root, clean, data, ckpt = pipeline
+        assert main(["--quiet", "score", "--model", str(ckpt), "--input-dir", str(data),
+                     "--pool-dir", str(clean), "--out", str(tmp_path / "s.csv"),
+                     "--jobs", jobs]) == 1
+        assert "jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--margin", "nan"), ("--margin", "inf"),
+                                             ("--lr", "nan"), ("--lr", "inf")])
+    def test_train_non_finite_exits_one(self, pipeline, tmp_path, capsys, flag, value):
+        root, *_ = pipeline
+        assert main(["--quiet", "train", "--triplets", str(root / "triplets_train.csv"),
+                     "--val", str(root / "triplets_val.csv"), "--max-epochs", "1",
+                     flag, value, "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert flag[2:] in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_score_jobs_match_serial(self, pipeline, tmp_path):
         root, clean, data, ckpt = pipeline

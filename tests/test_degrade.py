@@ -331,6 +331,11 @@ class TestSynthDataset:
         assert {r.source_id for r in rows} == {"src0", "src1"}
         assert not (tmp_path / "out" / "short__clean.wav").exists()
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, corpus, tmp_path, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            synth_dataset(corpus, tmp_path / "out", seed=0, jobs=jobs)
+
     def test_empty_corpus(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(EmptyCorpusError):

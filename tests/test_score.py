@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nomadlite.audio_core import Waveform
-from nomadlite.errors import EmptyPoolError
-from nomadlite.net import EmbeddingModel, EncoderConfig, init_model
+from nomadlite.errors import EmptyPoolError, ShapeMismatchError
+from nomadlite.net import EmbeddingModel, EncoderConfig, _backward, _forward, init_model
 from nomadlite.score import (
     ReferencePool,
     ScoreRow,
@@ -195,6 +195,50 @@ class TestFeatureLoss:
         loss, grad = feature_loss(model, wav(40, 0.30), wav(41, 0.33))
         assert np.isfinite(loss) and loss > 0
         assert grad.shape[1] == 32
+
+
+def two_forward_feature_loss(model, clean_values, est_values):
+    """The feature loss as two N = 1 forwards, one per clip: the reference
+    that the stacked forward of ``feature_loss_spec`` is held to."""
+    theta = model.parameters.astype(np.float64)
+    cfg = model.config
+    e_c, cache_c = _forward(theta, cfg, [clean_values])
+    e_e, cache_e = _forward(theta, cfg, [est_values])
+    loss = 0.0
+    layer_grads = []
+    for a_c, a_e in zip(cache_c["xs"][1:], cache_e["xs"][1:]):
+        t = a_e.shape[1]
+        diff = a_e - a_c
+        loss += float(np.sum(np.abs(diff))) / t
+        layer_grads.append(np.sign(diff) / t)
+    emb_diff = e_e - e_c
+    loss += float(np.sum(np.abs(emb_diff)))
+    _, input_grad = _backward(cache_e, cfg, np.sign(emb_diff), layer_grads=layer_grads,
+                              want_input_grad=True)
+    return loss, input_grad[0, : len(est_values)]
+
+
+class TestStackedFeatureLoss:
+    # the default encoder's min_frames is 61, so 5, 15 and 60 frames are padded
+    @pytest.mark.parametrize("frames", [5, 15, 60, 61, 298])
+    @pytest.mark.parametrize("cfg", [EncoderConfig(), TINY], ids=["default", "tiny"])
+    def test_matches_two_forwards(self, cfg, frames):
+        model = init_model(cfg)
+        rng = np.random.default_rng(frames)
+        clean = rng.standard_normal((frames, cfg.bands))
+        est = clean + 0.5 * rng.standard_normal((frames, cfg.bands))
+        loss, grad = feature_loss_spec(model, clean, est)
+        ref_loss, ref_grad = two_forward_feature_loss(model, clean, est)
+        assert ref_loss > 0 and grad.shape == ref_grad.shape == est.shape
+        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    @pytest.mark.parametrize("est_shape", [(14, 2), (16, 2), (15, 3)])
+    def test_unequal_shapes_rejected(self, est_shape):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ShapeMismatchError):
+            feature_loss_spec(init_model(TINY), rng.standard_normal((15, 2)),
+                              rng.standard_normal(est_shape))
 
 
 class TestScoreCsv:

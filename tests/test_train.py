@@ -58,6 +58,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="decay_interval"):
             TrainConfig(decay_interval=decay_interval)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["margin", "lr", "lr_decay"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
 
 class TestTrainEpoch:
     def test_zero_lr_is_noop(self):

@@ -122,6 +122,14 @@ def oracle_candidates(entries, anchor_idx, s):
     return positives, easy, hard
 
 
+class TestSamplerConfig:
+    @pytest.mark.parametrize("s", [float("nan"), float("inf")])
+    def test_non_finite_margin_rejected(self, s):
+        # a NaN margin fails every easy draw, so every triplet would come out hard
+        with pytest.raises(ValueError, match="s must be finite"):
+            SamplerConfig(s=s)
+
+
 class TestGenerateTriplets:
     def test_deterministic(self):
         sets = random_sets(np.random.default_rng(0))
