@@ -44,16 +44,9 @@ class EvalReport:
 
 def _rank(x: np.ndarray) -> np.ndarray:
     """Average (fractional) ranks, 1-based, ties share their mean rank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # 1-based rank of each group's last member
+    return ((ends - counts + 1 + ends) / 2)[group]
 
 
 def pearson(x, y) -> float:
@@ -113,7 +106,8 @@ def aggregate_per_condition(scores: list[ScoreRow], mos: list[MosRecord]) -> Eva
 def monotonicity_report(scores: list[ScoreRow], manifest: list[ManifestRow]) -> dict[str, float | None]:
     """Per-family Spearman of score vs level parameter. Raw signed values;
     the sign convention (level direction) is the family's own. Families whose
-    correlation is undefined map to None."""
+    correlation is undefined map to None. Raises JoinEmptyError if no score
+    matches a degraded manifest row."""
     by_clip = {r.clip_path: r for r in manifest}
     per_family: dict[str, list[tuple[float, float]]] = {}
     for s in scores:
@@ -121,6 +115,8 @@ def monotonicity_report(scores: list[ScoreRow], manifest: list[ManifestRow]) -> 
         if row is None or row.family == "clean":
             continue
         per_family.setdefault(row.family, []).append((row.level_param, s.nomad))
+    if not per_family:
+        raise JoinEmptyError("no clip paths in common between scores and degraded manifest rows")
     out: dict[str, float | None] = {}
     for family, pairs in sorted(per_family.items()):
         if len(pairs) < 2:

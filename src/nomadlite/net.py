@@ -273,12 +273,24 @@ def feature_loss_spec(model: EmbeddingModel, clean_values: np.ndarray, est_value
     return loss, input_grad[0, : len(est_values)]  # drop min_frames padding
 
 
-def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, m: float) -> float:
+def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, m: float):
+    """Margin hinge max(d(a, p) - d(a, n) + m, 0) on squared Euclidean
+    distances summed over the last axis: a float for one triplet of
+    embeddings, an array for stacked rows of triplets."""
     if m < 0:
         raise ValueError("margin must be >= 0")
-    d_ap = float(np.sum((e_a - e_p) ** 2))
-    d_an = float(np.sum((e_a - e_n) ** 2))
-    return max(0.0, d_ap - d_an + m)
+    d_ap = np.sum((e_a - e_p) ** 2, axis=-1)
+    d_an = np.sum((e_a - e_n) ** 2, axis=-1)
+    return np.maximum(d_ap - d_an + m, 0.0)
+
+
+def index_triples(triples):
+    """The distinct clips of (anchor, positive, negative) triples, by object
+    identity in first-seen order, and per role the (n,) rows into them."""
+    specs = list({id(s): s for triple in triples for s in triple}.values())
+    index = {id(s): i for i, s in enumerate(specs)}
+    ia, ip, ineg = np.array([[index[id(s)] for s in triple] for triple in triples]).T
+    return specs, ia, ip, ineg
 
 
 def loss_and_gradients(model: EmbeddingModel, batch, m: float):
@@ -292,19 +304,16 @@ def loss_and_gradients(model: EmbeddingModel, batch, m: float):
         raise ValueError("batch must be nonempty")
     theta = model.parameters.astype(np.float64)
     cfg = model.config
-    specs = list({id(s): s for triple in batch for s in triple}.values())
-    index = {id(s): i for i, s in enumerate(specs)}
+    specs, ia, ip, ineg = index_triples(batch)
     caches = []
     emb = _bucketed_forward(theta, cfg, specs, len(specs), caches)
 
-    ia, ip, ineg = np.array(
-        [[index[id(s)] for s in triple] for triple in batch]).T
     e_a, e_p, e_n = emb[ia], emb[ip], emb[ineg]
-    hinge = np.sum((e_a - e_p) ** 2, axis=1) - np.sum((e_a - e_n) ** 2, axis=1) + m
+    hinge = triplet_loss(e_a, e_p, e_n, m)
     active = hinge > 0
     grad_e = np.zeros_like(emb)
     np.add.at(grad_e, ia[active], 2.0 * (e_n - e_p)[active])
-    np.add.at(grad_e, ip[active], -2.0 * (e_a - e_p)[active])
+    np.add.at(grad_e, ip[active], 2.0 * (e_p - e_a)[active])
     np.add.at(grad_e, ineg[active], 2.0 * (e_a - e_n)[active])
 
     grad = np.zeros(cfg.param_count)

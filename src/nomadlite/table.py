@@ -3,11 +3,13 @@
 A table is declared once as ``(name, type, format_spec)`` columns. Files are
 UTF-8, written by the ``csv`` module with ``"\\n"`` line endings, and start
 with exactly the column names; a cell is written as ``format(value, spec)``
-and read back as ``type(cell)``. A file that breaks these rules raises
-``MalformedTableError`` naming the path (and the 1-based line and column).
+and read back as ``type(cell)``, and a float cell must be finite. A file that
+breaks these rules raises ``MalformedTableError`` naming the path (and the
+1-based line and column).
 """
 
 import csv
+import math
 from contextlib import nullcontext
 
 from .errors import MalformedTableError
@@ -52,4 +54,6 @@ def _parse_row(path, line: int, columns, row: list[str]) -> tuple:
             raise MalformedTableError(
                 f"{path}:{line}: column {name!r}: {cell!r} is not {kind.__name__}"
             ) from e
+        if kind is float and not math.isfinite(values[-1]):
+            raise MalformedTableError(f"{path}:{line}: column {name!r}: {cell!r} is not finite")
     return tuple(values)

@@ -1,6 +1,7 @@
 """Triplet training loop: plain SGD, validation early stopping, lr decay."""
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -12,6 +13,7 @@ from .net import (
     EmbeddingModel,
     EncoderConfig,
     embed,
+    index_triples,
     init_model,
     loss_and_gradients,
     triplet_loss,
@@ -41,6 +43,9 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("batch_size", "decay_interval"):
             _check_positive_int(name, getattr(self, name))
+        epochs = self.max_epochs
+        if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 0:
+            raise ValueError(f"max_epochs must be a nonnegative integer, got {epochs!r}")
         for name in ("margin", "lr", "lr_decay", "patience"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -101,18 +106,13 @@ def train_epoch(model: EmbeddingModel, triples, cfg: TrainConfig,
 
 
 def validate(model: EmbeddingModel, triples, margin: float) -> float:
-    """Mean triplet loss without parameter updates."""
+    """Mean triplet loss without parameter updates; each distinct clip is
+    embedded once."""
     if not triples:
         raise DataError("no validation triplets")
-    emb = {}  # one embedding per distinct clip, keyed by object identity
-    for triple in triples:
-        for spec in triple:
-            if id(spec) not in emb:
-                emb[id(spec)] = embed(model, spec)
-    total = 0.0
-    for spec_a, spec_p, spec_n in triples:
-        total += triplet_loss(emb[id(spec_a)], emb[id(spec_p)], emb[id(spec_n)], margin)
-    return total / len(triples)
+    specs, ia, ip, ineg = index_triples(triples)
+    emb = np.array([embed(model, spec) for spec in specs])
+    return float(np.mean(triplet_loss(emb[ia], emb[ip], emb[ineg], margin)))
 
 
 def fit(

@@ -88,26 +88,20 @@ def build_sample_sets(manifest: list[ManifestRow]) -> list[SampleSet]:
     return sets
 
 
+def _distances(sample_set: SampleSet, anchor_idx: int) -> np.ndarray:
+    """|q - q_anchor| per entry, with the anchor's own entry at +inf."""
+    q = np.array([e.q for e in sample_set.entries])
+    d = np.abs(q - q[anchor_idx])
+    d[anchor_idx] = np.inf
+    return d
+
+
 def pick_positive(sample_set: SampleSet, anchor_idx: int) -> int:
     """Index of the entry with NSIM closest to the anchor's; ties go to the
     lower index."""
-    q_a = sample_set.entries[anchor_idx].q
-    best = None
-    best_d = None
-    for i, e in enumerate(sample_set.entries):
-        if i == anchor_idx:
-            continue
-        d = abs(e.q - q_a)
-        if best_d is None or d < best_d:
-            best, best_d = i, d
-    if best is None:
+    if len(sample_set.entries) < 2:
         raise TooFewEntriesError("sample set needs at least 2 entries")
-    return best
-
-
-def _distances(sample_set: SampleSet, anchor_idx: int) -> np.ndarray:
-    q_a = sample_set.entries[anchor_idx].q
-    return np.array([abs(e.q - q_a) for e in sample_set.entries])
+    return int(np.argmin(_distances(sample_set, anchor_idx)))
 
 
 def sample_easy_negative(
@@ -115,26 +109,18 @@ def sample_easy_negative(
     rng: np.random.Generator,
 ) -> int:
     d = _distances(sample_set, anchor_idx)
-    d_p = d[positive_idx]
-    candidates = [i for i in range(len(d)) if i != anchor_idx and d[i] > d_p + s]
-    if not candidates:
+    candidates = np.flatnonzero((d > d[positive_idx] + s) & (d < np.inf))
+    if not len(candidates):
         raise EmptyNegativeSetError("no entry beyond the easy margin")
-    return candidates[rng.integers(len(candidates))]
+    return int(candidates[rng.integers(len(candidates))])
 
 
 def sample_hard_negative(sample_set: SampleSet, anchor_idx: int, positive_idx: int) -> int:
     d = _distances(sample_set, anchor_idx)
-    d_p = d[positive_idx]
-    best = None
-    best_d = None
-    for i in range(len(d)):
-        if i == anchor_idx or d[i] <= d_p:
-            continue
-        if best_d is None or d[i] < best_d:
-            best, best_d = i, d[i]
-    if best is None:
+    beyond = np.flatnonzero((d > d[positive_idx]) & (d < np.inf))
+    if not len(beyond):
         raise EmptyNegativeSetError("no entry strictly beyond the positive's distance")
-    return best
+    return int(beyond[np.argmin(d[beyond])])
 
 
 def generate_triplets(sets: list[SampleSet], cfg: SamplerConfig, count: int) -> list[TripletRecord]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,17 @@ class TestEvalOut:
             "severe,0.800000,1.500000\n"
         )
 
+    def test_eval_rank_no_join_exits_one(self, tmp_path, capsys):
+        # manifest paths relative, score paths absolute: nothing joins
+        write_manifest([ManifestRow(f"data/n{i}.wav", "s", "noise", i, 8.0 * i, 0.5)
+                        for i in range(3)], tmp_path / "m.csv")
+        write_scores([ScoreRow(f"/abs/data/n{i}.wav", 0.1 * i, "nmr", "p") for i in range(3)],
+                     tmp_path / "s.csv")
+        assert main(["--quiet", "eval-rank", "--scores", str(tmp_path / "s.csv"),
+                     "--manifest", str(tmp_path / "m.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "no clip paths in common" in err
+
     def test_eval_rank_out(self, tmp_path, capsys):
         clips = [("c0", "clip", 0, 5.0, 0.1), ("c1", "clip", 1, 10.0, 0.2),
                  ("c2", "clip", 2, 25.0, 0.3), ("n0", "noise", 0, 0.0, 0.5),
@@ -381,6 +394,29 @@ class TestPipeline:
                      flag, value, "--out", str(tmp_path / "m.ckpt")]) == 1
         assert flag[2:] in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_train_negative_max_epochs_exits_one(self, pipeline, tmp_path, capsys):
+        root, *_ = pipeline
+        assert main(["--quiet", "train", "--triplets", str(root / "triplets_train.csv"),
+                     "--val", str(root / "triplets_val.csv"), "--max-epochs", "-1",
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert "max_epochs" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_triplets_non_finite_nsim_exits_one(self, pipeline, tmp_path, capsys):
+        # a NaN label on one level of each of 3 sources used to reach the triplets
+        root, clean, data, ckpt = pipeline
+        rows = read_manifest(data / "manifest.csv")
+        for source in sorted({r.source_id for r in rows})[:3]:
+            i = next(i for i, r in enumerate(rows)
+                     if r.source_id == source and r.family == "noise" and r.level_index == 2)
+            rows[i] = dataclasses.replace(rows[i], nsim=float("nan"))
+        write_manifest(rows, tmp_path / "manifest.csv")
+        assert main(["--quiet", "triplets", "--manifest", str(tmp_path / "manifest.csv"),
+                     "--count", "50", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "manifest.csv") in err and "'nsim'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_score_jobs_match_serial(self, pipeline, tmp_path):
         root, clean, data, ckpt = pipeline

@@ -17,7 +17,30 @@ from nomadlite.evaluate import (
 from nomadlite.score import ScoreRow
 
 
+def loop_rank(x: np.ndarray) -> np.ndarray:
+    """The scan-loop fractional ranks that _rank replaced, kept as a reference."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x))
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
+
+
 class TestRank:
+    def test_matches_loop_reference_with_ties(self):
+        # few distinct values, so most inputs have ties; -0.0 ties with 0.0
+        values = np.array([-0.0, 0.0, -1.5, 0.25, 2.0, 1e-300, -1e300])
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            pool = values[: rng.integers(1, len(values) + 1)]
+            x = pool[rng.integers(len(pool), size=rng.integers(1, 40))]
+            assert np.array_equal(_rank(x), loop_rank(x))
+
     def test_simple(self):
         assert _rank(np.array([10.0, 30.0, 20.0])).tolist() == [1.0, 3.0, 2.0]
 
@@ -159,6 +182,16 @@ class TestMonotonicity:
         report = monotonicity_report(scores, manifest)
         assert set(report) == {"noise"}
         assert report["noise"] == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("clips", [["/abs/s__noise_l0.wav", "/abs/s__noise_l1.wav"],
+                                       ["s__clean.wav"]])
+    def test_no_degraded_clip_joins_raises(self, clips):
+        manifest = [ManifestRow("s__clean.wav", "s", "clean", 0, 0.0, 1.0),
+                    ManifestRow("s__noise_l0.wav", "s", "noise", 0, 0.0, 0.4),
+                    ManifestRow("s__noise_l1.wav", "s", "noise", 1, 8.0, 0.6)]
+        scores = [ScoreRow(c, 0.5, "nmr", "p") for c in clips]
+        with pytest.raises(JoinEmptyError):
+            monotonicity_report(scores, manifest)
 
     def test_degenerate_family_is_none(self):
         manifest = [ManifestRow(f"s__noise_l{i}.wav", "s", "noise", i, float(i), 0.5)

@@ -227,6 +227,24 @@ class TestTripletLoss:
         with pytest.raises(ValueError):
             triplet_loss(a, a, a, -0.1)
 
+    def test_stacked_rows_equal_per_row_calls(self):
+        rng = np.random.default_rng(0)
+        e_a, e_p, e_n = rng.standard_normal((3, 50, 16)) * 0.3
+        e_p[:5] = e_a[:5]  # d_ap == 0
+        e_n[5:10] = e_p[5:10]  # hinge exactly at the margin
+        for m in (0.0, 0.2, 1.5):
+            stacked = triplet_loss(e_a, e_p, e_n, m)
+            assert stacked.shape == (50,)
+            rows = [triplet_loss(a, p, n, m) for a, p, n in zip(e_a, e_p, e_n)]
+            assert all(isinstance(r, float) for r in rows)
+            assert np.array_equal(stacked, rows)
+            assert 0 < np.count_nonzero(stacked) < 50
+
+    def test_negative_margin_rejected_on_arrays(self):
+        a = np.zeros((4, 8))
+        with pytest.raises(ValueError):
+            triplet_loss(a, a, a, -0.1)
+
 
 class TestGradients:
     def batch(self, seed=0, n=2, t=12):

@@ -47,10 +47,16 @@ READERS = {
     "scores": (read_scores, "clip_path,nomad,mode,pool_id", "a.wav,0.5,nmr,p", 1),
     "mos": (read_mos, "clip_path,condition_id,mos", "a.wav,c,3.5", 2),
 }
+# the index of a float column in each reader's row
+FLOAT_COLUMN = {"manifest": 5, "triplets": 4, "scores": 1, "mos": 2}
+NON_FINITE = ["nan", "inf", "-inf"]
 
 
-def _bad_row(good: str, numeric: int, case: str) -> str:
+def _bad_row(good: str, numeric: int, case: str, float_column: int) -> str:
     cells = good.split(",")
+    if case in NON_FINITE:
+        cells[float_column] = case
+        return ",".join(cells)
     if case == "short":
         return ",".join(cells[:-1])
     if case == "long":
@@ -63,7 +69,7 @@ def _bad_row(good: str, numeric: int, case: str) -> str:
     return ",".join(cells)
 
 
-CASES = ["empty", "short", "long", "not_a_number", "huge_cell"]
+CASES = ["empty", "short", "long", "not_a_number", "huge_cell"] + NON_FINITE
 
 
 def malformed_file(tmp_path, reader: str, case: str):
@@ -73,7 +79,7 @@ def malformed_file(tmp_path, reader: str, case: str):
     if case == "empty":
         path.write_text("")
         return path, 1
-    path.write_text(f"{header}\n{good}\n{_bad_row(good, numeric, case)}\n")
+    path.write_text(f"{header}\n{good}\n{_bad_row(good, numeric, case, FLOAT_COLUMN[reader])}\n")
     return path, 3
 
 
@@ -87,6 +93,8 @@ def test_malformed_table_raises(tmp_path, reader, case):
     assert f"{path}:{line}:" in str(e.value)
     if case == "not_a_number":
         assert "abc" in str(e.value)
+    if case in NON_FINITE:
+        assert f"{case!r} is not finite" in str(e.value)
 
 
 def test_blank_lines_are_skipped(tmp_path):

@@ -58,6 +58,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="decay_interval"):
             TrainConfig(decay_interval=decay_interval)
 
+    @pytest.mark.parametrize("max_epochs", [-1, 1.5, True])
+    def test_max_epochs_not_a_nonnegative_int_rejected(self, max_epochs):
+        # -1 used to return the untrained model, 1.5 to fail later in fit's range
+        with pytest.raises(ValueError, match="max_epochs"):
+            TrainConfig(max_epochs=max_epochs)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["margin", "lr", "lr_decay"])
     def test_non_finite_rejected(self, name, value):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nomadlite.degrade import ManifestRow
-from nomadlite.errors import EmptyNegativeSetError, ExhaustedSamplerError
+from nomadlite.errors import EmptyNegativeSetError, ExhaustedSamplerError, TooFewEntriesError
 from nomadlite.triplets import (
     SampleEntry,
     SampleSet,
@@ -120,6 +120,83 @@ def oracle_candidates(entries, anchor_idx, s):
     beyond = [i for i in others if d[i] > d_p]
     hard = [i for i in beyond if d[i] == min(d[j] for j in beyond)] if beyond else []
     return positives, easy, hard
+
+
+# The scan-loop sampler rules that the array versions replaced, kept as references.
+def loop_pick_positive(sample_set, anchor_idx):
+    q_a = sample_set.entries[anchor_idx].q
+    best = None
+    best_d = None
+    for i, e in enumerate(sample_set.entries):
+        if i == anchor_idx:
+            continue
+        d = abs(e.q - q_a)
+        if best_d is None or d < best_d:
+            best, best_d = i, d
+    if best is None:
+        raise TooFewEntriesError("sample set needs at least 2 entries")
+    return best
+
+
+def loop_distances(sample_set, anchor_idx):
+    q_a = sample_set.entries[anchor_idx].q
+    return np.array([abs(e.q - q_a) for e in sample_set.entries])
+
+
+def loop_easy_negative(sample_set, anchor_idx, positive_idx, s, rng):
+    d = loop_distances(sample_set, anchor_idx)
+    d_p = d[positive_idx]
+    candidates = [i for i in range(len(d)) if i != anchor_idx and d[i] > d_p + s]
+    if not candidates:
+        raise EmptyNegativeSetError("no entry beyond the easy margin")
+    return candidates[rng.integers(len(candidates))]
+
+
+def loop_hard_negative(sample_set, anchor_idx, positive_idx):
+    d = loop_distances(sample_set, anchor_idx)
+    d_p = d[positive_idx]
+    best = None
+    best_d = None
+    for i in range(len(d)):
+        if i == anchor_idx or d[i] <= d_p:
+            continue
+        if best_d is None or d[i] < best_d:
+            best, best_d = i, d[i]
+    if best is None:
+        raise EmptyNegativeSetError("no entry strictly beyond the positive's distance")
+    return best
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EmptyNegativeSetError, TooFewEntriesError) as e:
+        return type(e)
+
+
+class TestLoopReferences:
+    """Each array rule picks what its loop picked, on tie-heavy sets: every q
+    lies on a grid of 5 values, so equal distances are the rule."""
+
+    @pytest.mark.parametrize("s", [0.0, 0.05, 0.2, 0.4])
+    def test_sampler_rules_match_loops(self, s):
+        grid = [0.1, 0.3, 0.5, 0.7, 0.9]
+        rng = np.random.default_rng(int(s * 100))
+        for trial in range(400):
+            st = SampleSet("s", [SampleEntry(f"c{j}", grid[rng.integers(5)])
+                                 for j in range(rng.integers(1, 13))])
+            anchor = int(rng.integers(len(st.entries)))
+            p = outcome(pick_positive, st, anchor)
+            assert p == outcome(loop_pick_positive, st, anchor)
+            if p is TooFewEntriesError:
+                continue
+            assert outcome(sample_hard_negative, st, anchor, p) == \
+                outcome(loop_hard_negative, st, anchor, p)
+            ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(3):
+                assert outcome(sample_easy_negative, st, anchor, p, s, ours) == \
+                    outcome(loop_easy_negative, st, anchor, p, s, theirs)
+                assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestSamplerConfig:
