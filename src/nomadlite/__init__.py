@@ -17,7 +17,7 @@ from .audio_core import (
     save_wav,
 )
 from .net import EmbeddingModel, EncoderConfig, embed, init_model, load_checkpoint, save_checkpoint
-from .nsim import NsimConfig, NsimScore, nsim, utterance_nsim
+from .nsim import NsimScore, nsim, utterance_nsim
 from .score import ReferencePool, feature_loss, full_reference_score, nomad_distance, pooled_score
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "CANONICAL_RATE",
     "EmbeddingModel",
     "EncoderConfig",
-    "NsimConfig",
     "NsimScore",
     "ReferencePool",
     "Spectrogram",

@@ -5,10 +5,9 @@ resamples its input first.
 """
 
 import functools
-import math
 import numbers
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -16,9 +15,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CorruptHeaderError, SignalTooShortError, UnsupportedFormatError
 
 CANONICAL_RATE = 16000
+# Header sample rates load_wav accepts. Outside it, resampling to 16 kHz
+# would take memory in proportion to the ratio (a 1 Hz header asks for
+# 16000 output samples per input sample) before any later check could fail.
+MIN_RATE = 8000
+MAX_RATE = 192000
 
 # Samples per block of frames that log_band_spectrogram windows and
-# transforms at once (32 frames of the default 400-sample window). Each
+# transforms at once (32 frames of the front end's 400-sample window). Each
 # block temporary then stays near 100 KiB: below glibc's default 128 KiB
 # mmap threshold, so it is reused from the heap instead of being mapped and
 # faulted in again on every call, and small enough to stay in L2.
@@ -52,41 +56,28 @@ class Spectrogram:
     """T x B matrix of log10 band power."""
 
     values: np.ndarray
-    frame_hop_s: float
-    band_count: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("spectrogram must be 2-d")
-        if self.values.shape[1] != self.band_count:
-            raise ValueError("band_count does not match matrix width")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrogramConfig:
-    sample_rate: int = CANONICAL_RATE
-    window: int = 400          # 25 ms at 16 kHz
-    hop: int = 160             # 10 ms
-    bands: int = 32
-    fmin: float = 0.0
-    fmax: float = 8000.0
-    power_floor: float = 1e-10
+    """The one front end: 25 ms Hann frames every 10 ms at 16 kHz, pooled
+    into 32 mel bands over 0-8 kHz. It takes no arguments."""
 
-    def __post_init__(self):
-        for name in ("sample_rate", "window", "hop", "bands"):
-            _check_positive_int(name, getattr(self, name))
-        if not self.fmin >= 0:
-            raise ValueError(f"fmin must be nonnegative, got {self.fmin!r}")
-        if not self.fmin < self.fmax <= self.sample_rate / 2:
-            raise ValueError(
-                f"fmax must lie in (fmin, sample_rate / 2] = "
-                f"({self.fmin!r}, {self.sample_rate / 2!r}], got {self.fmax!r}"
-            )
-        if not (self.power_floor > 0 and math.isfinite(self.power_floor)):
-            raise ValueError(
-                f"power_floor must be positive and finite, got {self.power_floor!r}"
-            )
+    sample_rate: int = field(default=CANONICAL_RATE, init=False)
+    window: int = field(default=400, init=False)
+    hop: int = field(default=160, init=False)
+    bands: int = field(default=32, init=False)
+    fmin: float = field(default=0.0, init=False)
+    fmax: float = field(default=8000.0, init=False)
+    power_floor: float = field(default=1e-10, init=False)
+
+
+FRONT_END = SpectrogramConfig()
 
 
 def load_wav(path) -> Waveform:
@@ -101,6 +92,10 @@ def load_wav(path) -> Waveform:
         raise UnsupportedFormatError(f"{path}: expected mono, got {channels} channels")
     if sampwidth != 2:
         raise UnsupportedFormatError(f"{path}: expected 16-bit PCM, got {8 * sampwidth}-bit")
+    if not MIN_RATE <= rate <= MAX_RATE:
+        raise UnsupportedFormatError(
+            f"{path}: sample rate {rate} Hz outside {MIN_RATE}-{MAX_RATE} Hz"
+        )
     pcm = np.frombuffer(raw, dtype="<i2")
     if pcm.size < 1:
         raise CorruptHeaderError(f"{path}: no audio frames")
@@ -200,15 +195,16 @@ def _mel_filterbank(bands: int, nfft: int, sr: int, fmin: float, fmax: float) ->
     return fb
 
 
-def log_band_spectrogram(w: Waveform, cfg: SpectrogramConfig | None = None) -> Spectrogram:
-    """Hann-windowed STFT power pooled into mel bands, log10 with a floor.
+def log_band_spectrogram(w: Waveform) -> Spectrogram:
+    """Hann-windowed STFT power pooled into mel bands, log10 with a floor,
+    over the one front end ``FRONT_END``.
 
     Frames are windowed and transformed ``FFT_BLOCK_SAMPLES`` at a time into
     one power array; rfft rows are independent, so this equals transforming
     all frames at once. The mel pooling stays one GEMM over the whole array:
     a GEMM per block would let BLAS pick other kernels for the short blocks
     and change the last bits."""
-    cfg = cfg or SpectrogramConfig()
+    cfg = FRONT_END
     if w.sample_rate != cfg.sample_rate:
         w = resample(w, cfg.sample_rate)
     x = w.samples
@@ -219,7 +215,7 @@ def log_band_spectrogram(w: Waveform, cfg: SpectrogramConfig | None = None) -> S
     frames = sliding_window_view(x, cfg.window)[:: cfg.hop]
     win = _hann(cfg.window)
     power = np.empty((len(frames), cfg.window // 2 + 1))
-    step = max(1, FFT_BLOCK_SAMPLES // cfg.window)
+    step = FFT_BLOCK_SAMPLES // cfg.window
     for i in range(0, len(frames), step):
         spec = np.fft.rfft(frames[i : i + step] * win, axis=1)
         block = power[i : i + step]
@@ -229,4 +225,4 @@ def log_band_spectrogram(w: Waveform, cfg: SpectrogramConfig | None = None) -> S
     values = power @ fb.T
     np.maximum(values, cfg.power_floor, out=values)
     np.log10(values, out=values)
-    return Spectrogram(values, cfg.hop / cfg.sample_rate, cfg.bands)
+    return Spectrogram(values)

@@ -11,7 +11,7 @@ from dataclasses import astuple
 from pathlib import Path
 
 from . import degrade, evaluate, score as scoring, train as training, triplets as tri
-from .audio_core import _check_positive_int, load_wav
+from .audio_core import load_wav
 from .errors import NomadError
 from .net import load_checkpoint, save_checkpoint
 from .nsim import utterance_nsim
@@ -33,8 +33,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config_file(path: str) -> dict:
     """Flat key=value overrides; keys use the flag spelling without dashes."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise NomadError(f"{path}: not UTF-8 text ({e})") from e
     overrides = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -103,7 +107,6 @@ def build_parser() -> _Parser:
                    help="clean references; in fr mode must hold <source>__clean.wav counterparts")
     p.add_argument("--mode", choices=["nmr", "fr"], default="nmr")
     p.add_argument("--out", required=True, help="output score CSV")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("eval-mos", help="correlate scores with MOS per condition")
     p.add_argument("--scores", required=True)
@@ -177,7 +180,6 @@ def _source_id_of(path: Path) -> str:
 
 
 def _cmd_score(args) -> int:
-    _check_positive_int("jobs", args.jobs)
     model = load_checkpoint(args.model)
     clips = sorted(Path(args.input_dir).glob("*.wav"))
     if not clips:
@@ -188,7 +190,6 @@ def _cmd_score(args) -> int:
         if not refs:
             raise NomadError(f"no WAV files in {pool_dir}")
         pool = scoring.ReferencePool([load_wav(r) for r in refs], pool_id=pool_dir.name)
-        pool.embeddings(model)  # fill the cache once, before any worker reads it
 
         def score_one(clip):
             return scoring.ScoreRow(str(clip), scoring.pooled_score(model, load_wav(clip), pool),
@@ -201,13 +202,7 @@ def _cmd_score(args) -> int:
             value = scoring.full_reference_score(model, load_wav(clip), load_wav(ref_path))
             return scoring.ScoreRow(str(clip), value, "fr", str(ref_path))
 
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            rows = list(ex.map(score_one, clips))
-    else:
-        rows = [score_one(c) for c in clips]
+    rows = [score_one(c) for c in clips]
     scoring.write_scores(rows, args.out)
     log.info("wrote %d scores to %s", len(rows), args.out)
     return 0
@@ -283,7 +278,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    except (NomadError, FileNotFoundError) as e:
+    except (NomadError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
@@ -297,7 +292,7 @@ def main(argv=None) -> int:
                  {k: v for k, v in sorted(vars(args).items()) if k != "config"})
     try:
         return _COMMANDS[args.command](args)
-    except (NomadError, FileNotFoundError, ValueError) as e:
+    except (NomadError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - internal failure

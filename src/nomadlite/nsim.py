@@ -18,19 +18,8 @@ log = logging.getLogger(__name__)
 
 C1_SCALE = 0.01
 C23_SCALE = 0.03
-
-
-@dataclass
-class NsimConfig:
-    patch_t: int = 3
-    patch_b: int = 3
-    intensity_range: float | None = None  # None: from the reference spectrogram
-
-    def __post_init__(self):
-        if self.patch_t < 1 or self.patch_t % 2 == 0:
-            raise ValueError("patch_t must be odd and >= 1")
-        if self.patch_b < 1 or self.patch_b % 2 == 0:
-            raise ValueError("patch_b must be odd and >= 1")
+PATCH_T = 3  # frames per patch
+PATCH_B = 3  # bands per patch
 
 
 @dataclass
@@ -66,26 +55,25 @@ def _patch_stats(ref, deg, pt, pb):
     return mu_r, mu_d, var_r, var_d, cov
 
 
-def nsim(ref: Spectrogram, deg: Spectrogram, cfg: NsimConfig | None = None) -> NsimScore:
-    cfg = cfg or NsimConfig()
+def nsim(ref: Spectrogram, deg: Spectrogram) -> NsimScore:
+    """NSIM over PATCH_T x PATCH_B patches, with the intensity range L taken
+    from the reference."""
     r = ref.values
     d = deg.values
     if r.shape != d.shape:
         raise ShapeMismatchError(f"spectrogram shapes differ: {r.shape} vs {d.shape}")
-    if r.shape[0] < cfg.patch_t or r.shape[1] < cfg.patch_b:
-        raise PatchTooLargeError(
-            f"patch {cfg.patch_t}x{cfg.patch_b} exceeds spectrogram {r.shape}"
-        )
+    if r.shape[0] < PATCH_T or r.shape[1] < PATCH_B:
+        raise PatchTooLargeError(f"patch {PATCH_T}x{PATCH_B} exceeds spectrogram {r.shape}")
 
-    L = cfg.intensity_range if cfg.intensity_range is not None else float(r.max() - r.min())
+    L = float(r.max() - r.min())
     if L == 0.0:
         # constant reference: similarity is all-or-nothing
         log.warning("constant reference spectrogram; NSIM degenerates to equality check")
         q = 1.0 if np.array_equal(r, d) else 0.0
-        shape = (r.shape[0] - cfg.patch_t + 1, r.shape[1] - cfg.patch_b + 1)
+        shape = (r.shape[0] - PATCH_T + 1, r.shape[1] - PATCH_B + 1)
         return NsimScore(q, np.full(shape, q))
 
-    mu_r, mu_d, var_r, var_d, cov = _patch_stats(r, d, cfg.patch_t, cfg.patch_b)
+    mu_r, mu_d, var_r, var_d, cov = _patch_stats(r, d, PATCH_T, PATCH_B)
     sig_r = np.sqrt(np.maximum(var_r, 0.0))
     sig_d = np.sqrt(np.maximum(var_d, 0.0))
     c1 = C1_SCALE * L
@@ -119,6 +107,4 @@ def utterance_nsim(ref: Waveform | Spectrogram, deg_wav: Waveform) -> float:
         raise ShapeMismatchError(
             f"frame counts differ by more than one: {sr.values.shape[0]} vs {sd.values.shape[0]}"
         )
-    sr = Spectrogram(sr.values[:t], sr.frame_hop_s, sr.band_count)
-    sd = Spectrogram(sd.values[:t], sd.frame_hop_s, sd.band_count)
-    return nsim(sr, sd).utterance
+    return nsim(Spectrogram(sr.values[:t]), Spectrogram(sd.values[:t])).utterance

@@ -23,6 +23,11 @@ from .triplets import TripletRecord
 
 log = logging.getLogger(__name__)
 
+# The learning rate is multiplied by LR_DECAY after every DECAY_INTERVAL
+# epochs without a validation improvement.
+LR_DECAY = 0.9
+DECAY_INTERVAL = 20
+
 REPORT_COLUMNS = (
     ("epoch", int, ""), ("train_loss", float, ".12f"), ("val_loss", float, ".12f"),
     ("lr", float, ".12g"),
@@ -34,19 +39,16 @@ class TrainConfig:
     margin: float = 0.2
     batch_size: int = 8
     lr: float = 1e-3
-    lr_decay: float = 0.9
-    decay_interval: int = 20   # epochs without improvement per decay step
     patience: int = 50         # desk default; published protocol used 200
     max_epochs: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "decay_interval"):
-            _check_positive_int(name, getattr(self, name))
+        _check_positive_int("batch_size", self.batch_size)
         epochs = self.max_epochs
         if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 0:
             raise ValueError(f"max_epochs must be a nonnegative integer, got {epochs!r}")
-        for name in ("margin", "lr", "lr_decay", "patience"):
+        for name in ("margin", "lr", "patience"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
@@ -156,8 +158,8 @@ def fit(
             since_improve = 0
         else:
             since_improve += 1
-            if since_improve % cfg.decay_interval == 0:
-                lr *= cfg.lr_decay
+            if since_improve % DECAY_INTERVAL == 0:
+                lr *= LR_DECAY
             if since_improve >= cfg.patience:
                 log.info("early stop at epoch %d (no improvement for %d)", epoch, since_improve)
                 break

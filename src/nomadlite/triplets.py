@@ -38,7 +38,11 @@ class SampleEntry:
 @dataclass
 class SampleSet:
     source_id: str
-    entries: list[SampleEntry] = field(default_factory=list)
+    entries: list[SampleEntry]
+    q: np.ndarray = field(init=False, repr=False, compare=False)  # entries' NSIM, in order
+
+    def __post_init__(self):
+        self.q = np.array([e.q for e in self.entries], dtype=np.float64)
 
 
 @dataclass
@@ -69,28 +73,26 @@ class SamplerConfig:
 def build_sample_sets(manifest: list[ManifestRow]) -> list[SampleSet]:
     """Group degraded manifest rows per source; clean rows are excluded from
     triplet pools. Sources with fewer than MIN_ENTRIES rows are skipped."""
-    by_source: dict[str, SampleSet] = {}
+    by_source: dict[str, list[SampleEntry]] = {}
     for row in manifest:
         if row.family == "clean":
             continue
-        by_source.setdefault(row.source_id, SampleSet(row.source_id)).entries.append(
-            SampleEntry(row.clip_path, row.nsim)
-        )
+        by_source.setdefault(row.source_id, []).append(SampleEntry(row.clip_path, row.nsim))
     sets = []
     for source_id in sorted(by_source):
-        st = by_source[source_id]
-        if len(st.entries) < MIN_ENTRIES:
+        entries = by_source[source_id]
+        if len(entries) < MIN_ENTRIES:
             logging.getLogger(__name__).warning(
-                "source %s has only %d degraded rows; skipped", source_id, len(st.entries)
+                "source %s has only %d degraded rows; skipped", source_id, len(entries)
             )
             continue
-        sets.append(st)
+        sets.append(SampleSet(source_id, entries))
     return sets
 
 
 def _distances(sample_set: SampleSet, anchor_idx: int) -> np.ndarray:
     """|q - q_anchor| per entry, with the anchor's own entry at +inf."""
-    q = np.array([e.q for e in sample_set.entries])
+    q = sample_set.q
     d = np.abs(q - q[anchor_idx])
     d[anchor_idx] = np.inf
     return d

@@ -1,7 +1,17 @@
+import wave
+
 import numpy as np
 import pytest
 
 from nomadlite.audio_core import Waveform
+
+
+def write_raw_wav(path, pcm_bytes, channels=1, sampwidth=2, rate=16000):
+    with wave.open(str(path), "wb") as f:
+        f.setnchannels(channels)
+        f.setsampwidth(sampwidth)
+        f.setframerate(rate)
+        f.writeframes(pcm_bytes)
 
 
 def make_utterance(seed: int, duration_s: float = 3.0, sr: int = 16000) -> Waveform:

@@ -218,7 +218,7 @@ def test_4_gradient_gate():
 
     def rand_spec(t=12):
         from nomadlite.audio_core import Spectrogram
-        return Spectrogram(rng.standard_normal((t, 2)), 0.01, 2)
+        return Spectrogram(rng.standard_normal((t, 2)))
 
     batch = [tuple(rand_spec() for _ in range(3)) for _ in range(2)]
     theta0 = model.parameters.astype(np.float64)

@@ -1,5 +1,5 @@
+import re
 import tracemalloc
-import wave
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import write_raw_wav
 from nomadlite.audio_core import (
     SpectrogramConfig,
     _design_lowpass,
@@ -19,14 +20,6 @@ from nomadlite.audio_core import (
     save_wav,
 )
 from nomadlite.errors import CorruptHeaderError, SignalTooShortError, UnsupportedFormatError
-
-
-def write_raw_wav(path, pcm_bytes, channels=1, sampwidth=2, rate=16000):
-    with wave.open(str(path), "wb") as f:
-        f.setnchannels(channels)
-        f.setsampwidth(sampwidth)
-        f.setframerate(rate)
-        f.writeframes(pcm_bytes)
 
 
 def zero_stuff_reference(x, rate, target):
@@ -43,10 +36,10 @@ def zero_stuff_reference(x, rate, target):
     return full[np.arange(n_out) * down + (len(h) - 1) // 2]
 
 
-def one_shot_reference(w, cfg=None):
+def one_shot_reference(w):
     """The front end as one expression: every frame windowed and transformed
     at once, then pooled and floored."""
-    cfg = cfg or SpectrogramConfig()
+    cfg = SpectrogramConfig()
     if w.sample_rate != cfg.sample_rate:
         w = resample(w, cfg.sample_rate)
     frames = sliding_window_view(w.samples, cfg.window)[:: cfg.hop]
@@ -54,25 +47,6 @@ def one_shot_reference(w, cfg=None):
     power = spec.real**2 + spec.imag**2
     fb = _mel_filterbank(cfg.bands, cfg.window, cfg.sample_rate, cfg.fmin, cfg.fmax)
     return np.log10(np.maximum(power @ fb.T, cfg.power_floor))
-
-
-DEGENERATE_CONFIGS = [
-    ("hop", {"hop": -1}),
-    ("hop", {"hop": 0}),
-    ("window", {"window": 0}),
-    ("bands", {"bands": 0}),
-    ("sample_rate", {"sample_rate": 0}),
-    ("window", {"window": 400.0}),
-    ("hop", {"hop": True}),
-    ("fmin", {"fmin": -1.0}),
-    ("fmax", {"fmin": 9000.0, "fmax": 8000.0}),
-    ("fmax", {"fmax": 0.0}),
-    ("fmax", {"fmax": 8001.0}),
-    ("fmax", {"fmax": float("nan")}),
-    ("power_floor", {"power_floor": 0.0}),
-    ("power_floor", {"power_floor": -1e-10}),
-    ("power_floor", {"power_floor": float("inf")}),
-]
 
 
 class TestLoadWav:
@@ -93,6 +67,15 @@ class TestLoadWav:
         path = tmp_path / "b24.wav"
         write_raw_wav(path, b"\x00\x00\x00" * 100, sampwidth=3)
         with pytest.raises(UnsupportedFormatError):
+            load_wav(path)
+
+    @pytest.mark.parametrize("rate", [1, 7999, 192001])
+    def test_rate_outside_supported_range_rejected(self, tmp_path, rate):
+        # a 1 Hz header used to reach the resampler, which asked for 16000
+        # output samples per input sample
+        path = tmp_path / "rate.wav"
+        write_raw_wav(path, b"\x00\x00" * 2000, rate=rate)
+        with pytest.raises(UnsupportedFormatError, match=rf"{re.escape(str(path))}.* {rate} Hz"):
             load_wav(path)
 
     def test_full_scale_negative_maps_to_minus_one(self, tmp_path):
@@ -227,13 +210,11 @@ class TestSpectrogram:
         assert s.values.shape[0] == frames
         assert np.array_equal(s.values, one_shot_reference(w))
 
-    @pytest.mark.parametrize(
-        "rate, cfg", [(22050, None), (16000, SpectrogramConfig(window=512, hop=128, bands=16))]
-    )
-    def test_blocked_stft_equals_one_shot_other_inputs(self, rate, cfg):
+    def test_blocked_stft_equals_one_shot_resampled(self):
+        rate = 22050
         w = Waveform(np.random.default_rng(rate).uniform(-0.5, 0.5, rate), rate)
-        s = log_band_spectrogram(w, cfg)
-        assert np.array_equal(s.values, one_shot_reference(w, cfg))
+        s = log_band_spectrogram(w)
+        assert np.array_equal(s.values, one_shot_reference(w))
 
     def test_peak_temporaries_of_a_3s_clip(self):
         w = Waveform(np.random.default_rng(11).uniform(-0.5, 0.5, 48000), 16000)
@@ -274,24 +255,17 @@ class TestSpectrogram:
         w = Waveform(np.random.default_rng(7).uniform(-0.5, 0.5, 32000), 32000)
         s = log_band_spectrogram(w)
         assert s.values.shape == ((16000 - 400) // 160 + 1, 32)
-        assert s.band_count == 32
 
-    def test_custom_config(self):
-        w = Waveform(np.random.default_rng(8).uniform(-0.5, 0.5, 16000), 16000)
-        s = log_band_spectrogram(w, SpectrogramConfig(bands=16))
-        assert s.values.shape[1] == 16
-
-    @pytest.mark.parametrize(
-        "field, kwargs", DEGENERATE_CONFIGS, ids=[repr(kw) for _, kw in DEGENERATE_CONFIGS]
-    )
-    def test_config_rejects_degenerate_values(self, field, kwargs):
-        with pytest.raises(ValueError, match=field):
-            SpectrogramConfig(**kwargs)
+    def test_config_takes_no_arguments(self):
+        with pytest.raises(TypeError):
+            SpectrogramConfig(window=512)
+        cfg = SpectrogramConfig()
+        assert (cfg.window, cfg.hop, cfg.bands) == (400, 160, 32)
 
     def test_cached_tables_are_read_only_and_exact(self):
         cfg = SpectrogramConfig()
         args = (cfg.bands, cfg.window, cfg.sample_rate, cfg.fmin, cfg.fmax)
-        log_band_spectrogram(Waveform(np.zeros(16000), 16000), cfg)
+        log_band_spectrogram(Waveform(np.zeros(16000), 16000))
         fb = _mel_filterbank(*args)
         assert _mel_filterbank(*args) is fb
         assert not fb.flags.writeable

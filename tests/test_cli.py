@@ -11,7 +11,7 @@ from nomadlite.nsim import utterance_nsim
 from nomadlite.score import ScoreRow, full_reference_score, read_scores, write_scores
 from nomadlite.triplets import read_triplets
 
-from conftest import make_utterance
+from conftest import make_utterance, write_raw_wav
 
 
 def write_clean_corpus(d, n=4, duration_s=1.0):
@@ -57,6 +57,23 @@ class TestParser:
         assert main(["--quiet", "nsim", "--ref", str(tmp_path / "no.wav"),
                      "--deg", str(tmp_path / "no.wav")]) == 1
 
+    @pytest.mark.parametrize("case", ["ref-dir", "config-dir", "config-latin1"])
+    def test_unreadable_input_exits_one(self, tmp_path, capsys, case):
+        # each of these used to leak a traceback or exit 2
+        wav = tmp_path / "u.wav"
+        save_wav(make_utterance(seed=1, duration_s=1.0), wav)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"# caf\xe9\nquiet=true\n")
+        argv = {
+            "ref-dir": ["nsim", "--ref", str(tmp_path), "--deg", str(wav)],
+            "config-dir": ["--config", str(tmp_path), "nsim", "--ref", str(wav), "--deg", str(wav)],
+            "config-latin1": ["--config", str(cfg), "nsim", "--ref", str(wav), "--deg", str(wav)],
+        }[case]
+        assert main(["--quiet", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(cfg if case == "config-latin1" else tmp_path) in err
+
 
 class TestNsimCommand:
     def test_identity_prints_one(self, tmp_path, capsys):
@@ -75,6 +92,16 @@ class TestNsimCommand:
         assert main(["--quiet", "nsim", "--ref", str(ref), "--deg", str(deg)]) == 0
         value = float(capsys.readouterr().out)
         assert 0.0 < value < 1.0
+
+    def test_unsupported_rate_exits_one(self, tmp_path, capsys):
+        # a 1 Hz header used to be resampled to 16 kHz before any check failed
+        ref = tmp_path / "ref.wav"
+        deg = tmp_path / "deg.wav"
+        write_raw_wav(ref, b"\x00\x00" * 50, rate=1)
+        save_wav(make_utterance(seed=2, duration_s=1.0), deg)
+        assert main(["--quiet", "nsim", "--ref", str(ref), "--deg", str(deg)]) == 1
+        err = capsys.readouterr().err
+        assert str(ref) in err and "1 Hz" in err
 
 
 class TestNonCanonicalRate:
@@ -377,14 +404,6 @@ class TestPipeline:
                      "--families", "clip", "--jobs", jobs]) == 1
         assert "jobs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_score_jobs_below_one_exits_one(self, pipeline, tmp_path, capsys, jobs):
-        root, clean, data, ckpt = pipeline
-        assert main(["--quiet", "score", "--model", str(ckpt), "--input-dir", str(data),
-                     "--pool-dir", str(clean), "--out", str(tmp_path / "s.csv"),
-                     "--jobs", jobs]) == 1
-        assert "jobs" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag, value", [("--margin", "nan"), ("--margin", "inf"),
                                              ("--lr", "nan"), ("--lr", "inf")])
     def test_train_non_finite_exits_one(self, pipeline, tmp_path, capsys, flag, value):
@@ -417,14 +436,3 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert str(tmp_path / "manifest.csv") in err and "'nsim'" in err
         assert not (tmp_path / "out").exists()
-
-    def test_score_jobs_match_serial(self, pipeline, tmp_path):
-        root, clean, data, ckpt = pipeline
-        outs = {}
-        for jobs in ("1", "2"):
-            outs[jobs] = tmp_path / f"scores_j{jobs}.csv"
-            rc = main(["--quiet", "score", "--model", str(ckpt), "--input-dir", str(data),
-                       "--pool-dir", str(clean), "--mode", "nmr", "--out", str(outs[jobs]),
-                       "--jobs", jobs])
-            assert rc == 0
-        assert outs["2"].read_bytes() == outs["1"].read_bytes()

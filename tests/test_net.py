@@ -28,8 +28,7 @@ TINY = EncoderConfig(bands=2, conv_channels=(4, 8), kernel=3, stride=2,
 
 
 def spec(values):
-    values = np.asarray(values, dtype=np.float64)
-    return Spectrogram(values, 0.01, values.shape[1])
+    return Spectrogram(values)
 
 
 def random_spec(rng, t, bands):

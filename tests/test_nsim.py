@@ -15,12 +15,11 @@ from nomadlite.degrade import (
     white_noise,
 )
 from nomadlite.errors import PatchTooLargeError, ShapeMismatchError
-from nomadlite.nsim import NsimConfig, _patch_stats, nsim, utterance_nsim
+from nomadlite.nsim import _patch_stats, nsim, utterance_nsim
 
 
 def spec_of(values):
-    values = np.asarray(values, dtype=float)
-    return Spectrogram(values, 0.01, values.shape[1])
+    return Spectrogram(np.asarray(values, dtype=float))
 
 
 def windowed_patch_stats(ref, deg, pt, pb):
@@ -96,13 +95,14 @@ class TestNsim:
         assert abs(score.utterance - 1.0) < 1e-9
         assert np.all(np.abs(score.patch_scores - 1.0) < 1e-9)
 
-    def test_constant_patch_hand_value(self):
-        # 3x3 constant patches with forced intensity range 1:
-        # luminance (2*0.5 + 0.01) / (1 + 0.25 + 0.01), structure 1
-        ref = spec_of(np.ones((3, 3)))
-        deg = spec_of(np.full((3, 3), 0.5))
-        score = nsim(ref, deg, NsimConfig(intensity_range=1.0))
-        expected = 1.01 / 1.26
+    def test_checkerboard_patch_hand_value(self):
+        # one 3x3 patch, the 0/1 checkerboard against itself halved, so the
+        # reference's intensity range L is 1: mu 4/9 and 2/9, var 20/81 and
+        # 5/81, cov 10/81 = sigma_r * sigma_d, so structure is 1 and
+        # luminance (16/81 + 0.01) / (20/81 + 0.01)
+        board = np.indices((3, 3)).sum(axis=0) % 2
+        score = nsim(spec_of(board), spec_of(board / 2))
+        expected = (16 / 81 + 0.01) / (20 / 81 + 0.01)
         assert abs(score.utterance - expected) < 1e-12
 
     def test_shape_mismatch(self):
