@@ -4,7 +4,6 @@ Canonical sample rate is 16 kHz: every spectrogram-producing entry point
 resamples its input first.
 """
 
-import functools
 import numbers
 import wave
 from dataclasses import dataclass, field
@@ -165,18 +164,8 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     return Waveform(y, target_rate)
 
 
-@functools.lru_cache(maxsize=None)
-def _hann(n: int) -> np.ndarray:
-    """Read-only Hann window, built once per length."""
-    win = np.hanning(n)
-    win.flags.writeable = False
-    return win
-
-
-@functools.lru_cache(maxsize=None)
 def _mel_filterbank(bands: int, nfft: int, sr: int, fmin: float, fmax: float) -> np.ndarray:
-    """Read-only triangular mel filterbank (bands, nfft // 2 + 1), built once
-    per configuration."""
+    """Read-only triangular mel filterbank (bands, nfft // 2 + 1)."""
     def hz_to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
 
@@ -193,6 +182,12 @@ def _mel_filterbank(bands: int, nfft: int, sr: int, fmin: float, fmax: float) ->
         fb[j] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
     fb.flags.writeable = False
     return fb
+
+
+_HANN = np.hanning(FRONT_END.window)
+_HANN.flags.writeable = False
+_MEL_FILTERBANK = _mel_filterbank(
+    FRONT_END.bands, FRONT_END.window, FRONT_END.sample_rate, FRONT_END.fmin, FRONT_END.fmax)
 
 
 def log_band_spectrogram(w: Waveform) -> Spectrogram:
@@ -213,16 +208,14 @@ def log_band_spectrogram(w: Waveform) -> Spectrogram:
             f"signal of {len(x)} samples shorter than window {cfg.window}"
         )
     frames = sliding_window_view(x, cfg.window)[:: cfg.hop]
-    win = _hann(cfg.window)
     power = np.empty((len(frames), cfg.window // 2 + 1))
     step = FFT_BLOCK_SAMPLES // cfg.window
     for i in range(0, len(frames), step):
-        spec = np.fft.rfft(frames[i : i + step] * win, axis=1)
+        spec = np.fft.rfft(frames[i : i + step] * _HANN, axis=1)
         block = power[i : i + step]
         np.multiply(spec.real, spec.real, out=block)
         block += spec.imag**2
-    fb = _mel_filterbank(cfg.bands, cfg.window, cfg.sample_rate, cfg.fmin, cfg.fmax)
-    values = power @ fb.T
+    values = power @ _MEL_FILTERBANK.T
     np.maximum(values, cfg.power_floor, out=values)
     np.log10(values, out=values)
     return Spectrogram(values)

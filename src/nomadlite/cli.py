@@ -61,7 +61,7 @@ def _config_value(action: argparse.Action, raw: str):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nomadlite", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="global RNG seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help="global RNG seed (default %(default)s)")
     parser.add_argument("--config", help="key=value config file; flags still win")
     parser.add_argument("--quiet", action="store_true", help="suppress the config echo and info logs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -71,12 +71,12 @@ def build_parser() -> _Parser:
     p.add_argument("--clean-dir", required=True, help="directory of clean mono 16-bit WAVs")
     p.add_argument("--out", required=True, help="output directory (WAVs + manifest.csv)")
     p.add_argument("--families", default=",".join(degrade.DEFAULT_FAMILIES),
-                   help=f"comma list from {sorted(degrade.LEVEL_TABLES)} "
-                        f"(default {','.join(degrade.DEFAULT_FAMILIES)})")
-    p.add_argument("--noise-kind", choices=["white", "pink"], default="white")
+                   help=f"comma list from {sorted(degrade.LEVEL_TABLES)} (default %(default)s)")
+    p.add_argument("--noise-kind", choices=list(degrade.NOISE_KINDS),
+                   default=degrade.DEFAULT_NOISE_KIND)
     p.add_argument("--external-codec-cmd",
                    help="command template with {in} {out} {kbps} for the external_codec family")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sources (default 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel sources (default %(default)s)")
 
     p = sub.add_parser("nsim", help="print the utterance NSIM of two files")
     p.add_argument("--ref", required=True)
@@ -84,20 +84,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("triplets", help="sample triplets from a manifest and split by source")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--count", type=int, default=8000, help="triplets to draw (default 8000)")
-    p.add_argument("--s", type=float, default=0.05, help="easy-negative margin (default 0.05)")
-    p.add_argument("--mix", type=float, default=0.5, help="fraction of easy triplets (default 0.5)")
-    p.add_argument("--split", type=float, default=0.8, help="train fraction by source (default 0.8)")
+    p.add_argument("--count", type=int, default=8000, help="triplets to draw (default %(default)s)")
+    p.add_argument("--s", type=float, default=tri.SamplerConfig.s,
+                   help="easy-negative margin (default %(default)s)")
+    p.add_argument("--mix", type=float, default=tri.SamplerConfig.strategy_mix,
+                   help="fraction of easy triplets (default %(default)s)")
+    p.add_argument("--split", type=float, default=0.8, help="train fraction by source (default %(default)s)")
     p.add_argument("--out", required=True, help="output directory for triplets_{train,val}.csv")
 
     p = sub.add_parser("train", help="train the embedding network on triplet files")
     p.add_argument("--triplets", required=True, help="training triplet CSV")
     p.add_argument("--val", required=True, help="validation triplet CSV")
-    p.add_argument("--margin", type=float, default=0.2)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--patience", type=int, default=50)
-    p.add_argument("--max-epochs", type=int, default=200)
+    p.add_argument("--margin", type=float, default=training.TrainConfig.margin)
+    p.add_argument("--batch", type=int, default=training.TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=training.TrainConfig.lr)
+    p.add_argument("--patience", type=int, default=training.TrainConfig.patience)
+    p.add_argument("--max-epochs", type=int, default=training.TrainConfig.max_epochs)
     p.add_argument("--out", required=True, help="checkpoint path (report CSV written alongside)")
 
     p = sub.add_parser("score", help="score degraded clips against references")
@@ -128,9 +130,6 @@ def build_parser() -> _Parser:
 
 def _cmd_synth(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    unknown = [f for f in families if f not in degrade.LEVEL_TABLES]
-    if unknown:
-        raise NomadError(f"unknown families: {unknown}")
     rows = degrade.synth_dataset(
         args.clean_dir, args.out, seed=args.seed, families=families,
         noise_kind=args.noise_kind, external_codec_cmd=args.external_codec_cmd,
@@ -175,10 +174,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _source_id_of(path: Path) -> str:
-    return path.stem.split("__")[0]
-
-
 def _cmd_score(args) -> int:
     model = load_checkpoint(args.model)
     clips = sorted(Path(args.input_dir).glob("*.wav"))
@@ -196,7 +191,7 @@ def _cmd_score(args) -> int:
                                     "nmr", pool.pool_id)
     else:
         def score_one(clip):
-            ref_path = pool_dir / degrade.clean_name(_source_id_of(clip))
+            ref_path = pool_dir / degrade.clean_name(degrade.source_id_of(clip))
             if not ref_path.exists():
                 raise NomadError(f"no clean counterpart {ref_path} for {clip}")
             value = scoring.full_reference_score(model, load_wav(clip), load_wav(ref_path))

@@ -24,6 +24,7 @@ from .errors import (
     EmptyCorpusError,
     EncoderFailedError,
     MissingEncoderError,
+    NomadError,
     SilentInputError,
     UnsupportedBitrateError,
 )
@@ -47,6 +48,7 @@ LEVEL_TABLES = {
     "external_codec": [8.0, 16.0, 32.0, 64.0, 128.0],        # kbps
 }
 DEFAULT_FAMILIES = ("clip", "noise", "codec_proxy_mp3like", "codec_proxy_opuslike")
+DEFAULT_NOISE_KIND = "white"  # a key of NOISE_KINDS
 PINK_ROWS = 12  # Voss-McCartney generator rows
 
 
@@ -89,6 +91,12 @@ def clip_signal(w: Waveform, percent: float) -> Waveform:
     return Waveform(np.clip(x, -tau, tau), w.sample_rate)
 
 
+def _limit_peak(y: np.ndarray) -> np.ndarray:
+    """Scale to a 0.99 peak, only when some sample overflows [-1, 1]."""
+    peak = np.max(np.abs(y))
+    return y * (0.99 / peak) if peak > 1.0 else y
+
+
 def mix_noise_at_snr(x: Waveform, s: Waveform, snr_db: float) -> Waveform:
     """Add noise scaled to the requested full-utterance SNR; noise is looped
     or truncated to the signal length. Peak-normalized to 0.99 only on
@@ -105,11 +113,7 @@ def mix_noise_at_snr(x: Waveform, s: Waveform, snr_db: float) -> Waveform:
     if p_x == 0.0 or p_s == 0.0:
         raise SilentInputError("signal and noise must both carry energy")
     g = math.sqrt(p_x / (p_s * 10.0 ** (snr_db / 10.0)))
-    y = x.samples + g * noise
-    peak = np.max(np.abs(y))
-    if peak > 1.0:
-        y = y * (0.99 / peak)
-    return Waveform(y, x.sample_rate)
+    return Waveform(_limit_peak(x.samples + g * noise), x.sample_rate)
 
 
 def _quantize(x: np.ndarray, bits: int) -> np.ndarray:
@@ -153,11 +157,7 @@ def reverb_probe(w: Waveform, rt60_s: float, rng: np.random.Generator | None = N
     t = np.arange(n_ir) / w.sample_rate
     ir = rng.standard_normal(n_ir) * np.exp(-reverb_decay_rate(rt60_s) * t)
     ir /= math.sqrt(float(np.sum(ir**2)))
-    y = np.convolve(w.samples, ir)[: len(w.samples)]
-    peak = np.max(np.abs(y))
-    if peak > 1.0:
-        y = y * (0.99 / peak)
-    return Waveform(y, w.sample_rate)
+    return Waveform(_limit_peak(np.convolve(w.samples, ir)[: len(w.samples)]), w.sample_rate)
 
 
 def white_noise(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,18 +165,20 @@ def white_noise(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Voss-McCartney pink noise."""
-    values = rng.standard_normal(PINK_ROWS + 1)
-    out = np.empty(n)
-    for i in range(n):
-        if i > 0:
-            # rows toggle at octave-spaced intervals
-            bit = (i & -i).bit_length() - 1
-            row = min(bit, PINK_ROWS - 1)
-            values[row] = rng.standard_normal()
-        values[PINK_ROWS] = rng.standard_normal()
-        out[i] = values.sum()
-    return out / (PINK_ROWS + 1) * 0.3
+    """Voss-McCartney pink noise: PINK_ROWS held rows, sample i > 0 redrawing
+    row min(trailing zero bits of i, PINK_ROWS - 1), plus a white row redrawn
+    every sample. One bulk draw is a per-sample loop's stream: PINK_ROWS + 1
+    initial values, one at sample 0, then the row and the white row."""
+    draws = rng.standard_normal(2 * n + PINK_ROWS)
+    j = np.arange(1, n)
+    idx = np.tile(np.arange(PINK_ROWS + 1), (n, 1))  # draws[idx[i, r]] is row r at sample i
+    idx[j, np.minimum(np.frexp(j & -j)[1] - 1, PINK_ROWS - 1)] = PINK_ROWS + 2 * j
+    np.maximum.accumulate(idx, axis=0, out=idx)  # each row holds its last redraw
+    idx[:, PINK_ROWS] = PINK_ROWS + 1 + 2 * np.arange(n)
+    return draws[idx].sum(axis=1) / (PINK_ROWS + 1) * 0.3
+
+
+NOISE_KINDS = {"white": white_noise, "pink": pink_noise}
 
 
 def condition_rng(seed: int, source_id: str, c: DegradationCondition) -> np.random.Generator:
@@ -192,7 +194,7 @@ def apply_condition(
     c: DegradationCondition,
     seed: int,
     source_id: str = "",
-    noise_kind: str = "white",
+    noise_kind: str = DEFAULT_NOISE_KIND,
     external_codec_cmd: str | None = None,
     workdir: Path | None = None,
 ) -> Waveform:
@@ -201,13 +203,10 @@ def apply_condition(
     if c.family == "clip":
         return clip_signal(w, c.level_param)
     if c.family == "noise":
-        gen = pink_noise if noise_kind == "pink" else white_noise
-        noise = Waveform(gen(len(w.samples), rng), w.sample_rate)
+        noise = Waveform(NOISE_KINDS[noise_kind](len(w.samples), rng), w.sample_rate)
         return mix_noise_at_snr(w, noise, c.level_param)
-    if c.family == "codec_proxy_mp3like":
-        return codec_proxy(w, c.level_param, "mp3like")
-    if c.family == "codec_proxy_opuslike":
-        return codec_proxy(w, c.level_param, "opuslike")
+    if c.family.startswith("codec_proxy_"):
+        return codec_proxy(w, c.level_param, c.family.removeprefix("codec_proxy_"))
     if c.family == "reverb_probe":
         return reverb_probe(w, c.level_param, rng)
     if c.family == "external_codec":
@@ -244,12 +243,17 @@ def clean_name(source_id: str) -> str:
     return f"{source_id}__clean.wav"
 
 
+def source_id_of(path) -> str:
+    """The source id of a clip named by ``degraded_name`` or ``clean_name``."""
+    return Path(path).stem.split("__")[0]
+
+
 def synth_dataset(
     clean_dir,
     out_dir,
     seed: int = 0,
     families=DEFAULT_FAMILIES,
-    noise_kind: str = "white",
+    noise_kind: str = DEFAULT_NOISE_KIND,
     external_codec_cmd: str | None = None,
     jobs: int = 1,
 ) -> list[ManifestRow]:
@@ -257,8 +261,15 @@ def synth_dataset(
     counterpart, and write ``manifest.csv`` plus all WAVs under out_dir.
 
     Per-file failures are skipped with a warning; an empty result is an error.
+    Families must be distinct keys of ``LEVEL_TABLES`` and the noise kind a
+    key of ``NOISE_KINDS``; a call that breaks either writes nothing.
     """
     _check_positive_int("jobs", jobs)
+    if not families or len(LEVEL_TABLES.keys() & set(families)) < len(families):
+        raise NomadError(f"families must be distinct names from {sorted(LEVEL_TABLES)}, "
+                         f"got {list(families)}")
+    if noise_kind not in NOISE_KINDS:
+        raise NomadError(f"unknown noise kind {noise_kind!r}, expected one of {sorted(NOISE_KINDS)}")
     clean_dir = Path(clean_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,18 +284,15 @@ def synth_dataset(
     ]
 
     def render_source(src: Path) -> list[ManifestRow]:
+        source_id = src.stem
+        clean_path = out_dir / clean_name(source_id)
         try:
-            return _render_one(src)
+            clean = resample(load_wav(src), CANONICAL_RATE)
+            clean_spec = log_band_spectrogram(clean)  # the NSIM reference of every clip below
+            save_wav(clean, clean_path)
         except Exception as e:  # noqa: BLE001 - skip-and-log policy
             log.warning("skipping source %s: %s", src, e)
             return []
-
-    def _render_one(src: Path) -> list[ManifestRow]:
-        source_id = src.stem
-        clean = resample(load_wav(src), CANONICAL_RATE)
-        clean_spec = log_band_spectrogram(clean)  # the NSIM reference of every clip below
-        clean_path = out_dir / clean_name(source_id)
-        save_wav(clean, clean_path)
         rows = [ManifestRow(str(clean_path), source_id, "clean", 0, 0.0, 1.0)]
         for c in conditions:
             try:

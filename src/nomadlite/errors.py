@@ -82,7 +82,7 @@ class JoinEmptyError(NomadError):
 
 
 class DataError(NomadError):
-    """Training data invalid (empty or source-overlapping splits)."""
+    """Training data invalid (empty or source-overlapping splits, repeated clips)."""
 
 
 class MalformedTableError(NomadError, ValueError):

@@ -74,7 +74,11 @@ def build_sample_sets(manifest: list[ManifestRow]) -> list[SampleSet]:
     """Group degraded manifest rows per source; clean rows are excluded from
     triplet pools. Sources with fewer than MIN_ENTRIES rows are skipped."""
     by_source: dict[str, list[SampleEntry]] = {}
+    seen = set()
     for row in manifest:
+        if row.clip_path in seen:
+            raise DataError(f"manifest repeats clip path {row.clip_path}")
+        seen.add(row.clip_path)
         if row.family == "clean":
             continue
         by_source.setdefault(row.source_id, []).append(SampleEntry(row.clip_path, row.nsim))

@@ -397,6 +397,28 @@ class TestPipeline:
         for p in sorted(data.glob("*.wav")):
             assert (parallel / p.name).read_bytes() == p.read_bytes()
 
+    @pytest.mark.parametrize("families", ["clip,clip", ",", "clip,bogus"])
+    def test_synth_bad_families_exit_one(self, pipeline, tmp_path, capsys, families):
+        root, clean, data, ckpt = pipeline
+        out = tmp_path / "out"
+        assert main(["--quiet", "synth", "--clean-dir", str(clean), "--out", str(out),
+                     "--families", families]) == 1
+        err = capsys.readouterr().err
+        assert "families must be distinct names from" in err and "codec_proxy_mp3like" in err
+        assert not out.exists()
+
+    def test_synth_unknown_noise_kind_from_config_exits_one(self, pipeline, tmp_path, capsys):
+        # argparse checks choices on the command line only, not on config-file defaults
+        root, clean, data, ckpt = pipeline
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("noise_kind=brown\n")
+        out = tmp_path / "out"
+        assert main(["--quiet", "--config", str(cfg), "synth", "--clean-dir", str(clean),
+                     "--out", str(out), "--families", "noise"]) == 1
+        err = capsys.readouterr().err
+        assert "'brown'" in err and "'pink'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_synth_jobs_below_one_exits_one(self, pipeline, tmp_path, capsys, jobs):
         root, clean, data, ckpt = pipeline

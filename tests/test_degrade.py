@@ -1,5 +1,6 @@
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,25 +10,31 @@ from nomadlite import degrade
 from nomadlite.audio_core import CANONICAL_RATE, Waveform, load_wav, resample, save_wav
 from nomadlite.degrade import (
     DEFAULT_FAMILIES,
+    PINK_ROWS,
     _brickwall_lowpass,
     LEVEL_TABLES,
     DegradationCondition,
     apply_condition,
+    clean_name,
     clip_signal,
     codec_proxy,
     condition_rng,
+    degraded_name,
     mix_noise_at_snr,
     pink_noise,
     read_manifest,
     reverb_decay_rate,
     reverb_probe,
+    source_id_of,
     synth_dataset,
     white_noise,
 )
 from nomadlite.errors import (
     DegenerateSignalError,
     EmptyCorpusError,
+    EncoderFailedError,
     MissingEncoderError,
+    NomadError,
     SilentInputError,
     UnsupportedBitrateError,
 )
@@ -205,6 +212,19 @@ class TestApplyCondition:
         with pytest.raises(MissingEncoderError):
             apply_condition(utterances[0], c, seed=0, source_id="x")
 
+    def test_external_codec_nonzero_exit(self, utterances, tmp_path):
+        c = DegradationCondition.from_table("external_codec", 0)
+        with pytest.raises(EncoderFailedError, match="exited 1"):
+            apply_condition(utterances[0], c, seed=0, source_id="x",
+                            external_codec_cmd="false {in} {out}", workdir=tmp_path)
+
+    def test_external_codec_executable_not_found(self, utterances, tmp_path):
+        c = DegradationCondition.from_table("external_codec", 0)
+        with pytest.raises(MissingEncoderError, match="not found"):
+            apply_condition(utterances[0], c, seed=0, source_id="x",
+                            external_codec_cmd=f"{tmp_path / 'no-such-encoder'} {{in}} {{out}}",
+                            workdir=tmp_path)
+
     def test_external_codec_passthrough(self, utterances, tmp_path):
         c = DegradationCondition.from_table("external_codec", 0)
         out = apply_condition(
@@ -223,7 +243,28 @@ class TestApplyCondition:
         assert a != condition_rng(1, "s", c1).integers(1 << 30)
 
 
+def pink_noise_loop(n, rng):
+    """Voss-McCartney as a per-sample loop: the reference for ``pink_noise``."""
+    values = rng.standard_normal(PINK_ROWS + 1)
+    out = np.empty(n)
+    for i in range(n):
+        if i > 0:
+            # rows toggle at octave-spaced intervals
+            bit = (i & -i).bit_length() - 1
+            row = min(bit, PINK_ROWS - 1)
+            values[row] = rng.standard_normal()
+        values[PINK_ROWS] = rng.standard_normal()
+        out[i] = values.sum()
+    return out / (PINK_ROWS + 1) * 0.3
+
+
 class TestNoiseGenerators:
+    @pytest.mark.parametrize("n", [1, 2, 5, 1000, 48000])
+    def test_pink_noise_equals_loop(self, n):
+        for seed in range(3):
+            expected = pink_noise_loop(n, np.random.default_rng(seed))
+            assert np.array_equal(pink_noise(n, np.random.default_rng(seed)), expected)
+
     def test_pink_noise_rolls_off(self):
         x = pink_noise(16384, np.random.default_rng(12))
         spec = np.abs(np.fft.rfft(x)) ** 2
@@ -245,7 +286,27 @@ def corpus(tmp_path_factory):
     return clean
 
 
+def test_source_id_of_reads_both_clip_names():
+    c = DegradationCondition.from_table("noise", 3)
+    for name in (degraded_name("take_2", c), clean_name("take_2")):
+        assert source_id_of(Path("/corpus") / name) == "take_2"
+
+
 class TestSynthDataset:
+    @pytest.mark.parametrize("families, noise_kind, bad, allowed", [
+        (["clip", "bogus"], "white", "'bogus'", "'codec_proxy_mp3like'"),
+        (["clip", "noise", "clip"], "white", "'clip', 'noise', 'clip'", "'codec_proxy_mp3like'"),
+        ([], "white", "got []", "'codec_proxy_mp3like'"),
+        (["noise"], "brown", "'brown'", "'pink'"),
+    ])
+    def test_bad_vocabulary_rejected_before_writing(self, corpus, tmp_path, families, noise_kind,
+                                                    bad, allowed):
+        out = tmp_path / "out"
+        with pytest.raises(NomadError) as e:
+            synth_dataset(corpus, out, seed=0, families=families, noise_kind=noise_kind)
+        assert bad in str(e.value) and allowed in str(e.value)
+        assert not out.exists()
+
     def test_manifest_count_law(self, corpus, tmp_path):
         rows = synth_dataset(corpus, tmp_path / "out", seed=3)
         # 2 sources x (4 families x 5 levels + 1 clean row)

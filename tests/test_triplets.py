@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nomadlite.degrade import ManifestRow
-from nomadlite.errors import EmptyNegativeSetError, ExhaustedSamplerError, TooFewEntriesError
+from nomadlite.errors import DataError, EmptyNegativeSetError, ExhaustedSamplerError, TooFewEntriesError
 from nomadlite.triplets import (
     SampleEntry,
     SampleSet,
@@ -50,6 +50,12 @@ class TestBuildSampleSets:
         manifest = [row("s", "clip", i, q) for i, q in enumerate(qs)]
         sets = build_sample_sets(manifest)
         assert [e.q for e in sets[0].entries] == qs
+
+    def test_repeated_clip_path_rejected(self):
+        # two concatenated manifests: every anchor would find itself as its positive
+        manifest = [row("s", "clip", lvl, 0.5 + 0.1 * lvl) for lvl in range(5)]
+        with pytest.raises(DataError, match="s_clip_0.wav"):
+            build_sample_sets(manifest + manifest)
 
 
 class TestPickPositive:
