@@ -7,11 +7,12 @@ resamples its input first.
 import numbers
 import wave
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CorruptHeaderError, SignalTooShortError, UnsupportedFormatError
+from .errors import CorruptHeaderError, EmptyCorpusError, SignalTooShortError, UnsupportedFormatError
 
 CANONICAL_RATE = 16000
 # Header sample rates load_wav accepts. Outside it, resampling to 16 kHz
@@ -77,6 +78,13 @@ class SpectrogramConfig:
 
 
 FRONT_END = SpectrogramConfig()
+
+
+def wav_files(directory) -> list[Path]:
+    """The ``*.wav`` files of a directory, sorted; none is an EmptyCorpusError."""
+    if files := sorted(Path(directory).glob("*.wav")):
+        return files
+    raise EmptyCorpusError(f"no WAV files in {directory}")
 
 
 def load_wav(path) -> Waveform:

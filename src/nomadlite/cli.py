@@ -11,7 +11,7 @@ from dataclasses import astuple
 from pathlib import Path
 
 from . import degrade, evaluate, score as scoring, train as training, triplets as tri
-from .audio_core import load_wav
+from .audio_core import load_wav, wav_files
 from .errors import NomadError
 from .net import load_checkpoint, save_checkpoint
 from .nsim import utterance_nsim
@@ -56,7 +56,28 @@ def _config_value(action: argparse.Action, raw: str):
         if raw.lower() not in ("true", "false"):
             raise ValueError("expected true or false")
         return raw.lower() == "true"
-    return action.type(raw) if action.type else raw
+    value = action.type(raw) if action.type else raw
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {list(action.choices)}")
+    return value
+
+
+def _apply_config(parser: _Parser, path: str) -> None:
+    """Set each config-file value as the default of every flag with its key."""
+    overrides = _load_config_file(path)
+    unused = set(overrides)
+    for p in [parser, *parser._sub_choices.values()]:
+        for action in p._actions:
+            if action.dest not in overrides or not action.option_strings:
+                continue
+            unused.discard(action.dest)
+            raw = overrides[action.dest]
+            try:
+                p.set_defaults(**{action.dest: _config_value(action, raw)})
+            except ValueError as e:
+                raise NomadError(f"{path}: bad value for {action.dest}: {raw!r} ({e})") from e
+    if unused:
+        raise NomadError(f"{path}: unknown key(s) {sorted(unused)}")
 
 
 def build_parser() -> _Parser:
@@ -176,15 +197,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_score(args) -> int:
     model = load_checkpoint(args.model)
-    clips = sorted(Path(args.input_dir).glob("*.wav"))
-    if not clips:
-        raise NomadError(f"no WAV files in {args.input_dir}")
+    clips = wav_files(args.input_dir)
     pool_dir = Path(args.pool_dir)
     if args.mode == "nmr":
-        refs = sorted(pool_dir.glob("*.wav"))
-        if not refs:
-            raise NomadError(f"no WAV files in {pool_dir}")
-        pool = scoring.ReferencePool([load_wav(r) for r in refs], pool_id=pool_dir.name)
+        pool = scoring.ReferencePool([load_wav(r) for r in wav_files(pool_dir)], pool_id=pool_dir.name)
 
         def score_one(clip):
             return scoring.ScoreRow(str(clip), scoring.pooled_score(model, load_wav(clip), pool),
@@ -246,47 +262,20 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # apply config-file values as defaults before the real parse; without
-        # abbreviations, so that e.g. `triplets --co 40` is not read as --config
-        pre = _Parser(prog=parser.prog, add_help=False, allow_abbrev=False)
-        pre.add_argument("--config")
-        cfg_path = pre.parse_known_args(argv)[0].config
-        if cfg_path is not None:
-            overrides = _load_config_file(cfg_path)
-            unused = set(overrides)
-            for p in [parser, *parser._sub_choices.values()]:
-                for action in p._actions:
-                    if action.dest not in overrides or not action.option_strings:
-                        continue
-                    unused.discard(action.dest)
-                    raw = overrides[action.dest]
-                    try:
-                        p.set_defaults(**{action.dest: _config_value(action, raw)})
-                    except ValueError as e:
-                        raise NomadError(
-                            f"{cfg_path}: bad value for {action.dest}: {raw!r} ({e})"
-                        ) from e
-            if unused:
-                raise NomadError(f"{cfg_path}: unknown key(s) {sorted(unused)}")
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # config values are defaults, so flags still win on the second parse
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
+        logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
+                            format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+        if not args.quiet:
+            log.info("resolved config: %s",
+                     {k: v for k, v in sorted(vars(args).items()) if k != "config"})
+        return _COMMANDS[args.command](args)
     except SystemExit as e:
         return int(e.code or 0)
-    except (NomadError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-    if not args.quiet:
-        log.info("resolved config: %s",
-                 {k: v for k, v in sorted(vars(args).items()) if k != "config"})
-    try:
-        return _COMMANDS[args.command](args)
     except (NomadError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_core import (
-    CANONICAL_RATE, Waveform, _check_positive_int, load_wav, log_band_spectrogram, resample, save_wav)
+    CANONICAL_RATE, Waveform, _check_positive_int, load_wav, log_band_spectrogram, resample, save_wav, wav_files)
 from .errors import (
     DegenerateSignalError,
     EmptyCorpusError,
@@ -60,7 +60,11 @@ class DegradationCondition:
 
     @classmethod
     def from_table(cls, family: str, level_index: int) -> "DegradationCondition":
+        if family not in LEVEL_TABLES:
+            raise NomadError(f"unknown family {family!r}, expected one of {sorted(LEVEL_TABLES)}")
         table = LEVEL_TABLES[family]
+        if not 0 <= level_index < len(table):
+            raise NomadError(f"{family} has levels 0-{len(table) - 1}, got {level_index!r}")
         return cls(family, level_index, table[level_index])
 
 
@@ -131,10 +135,10 @@ def _brickwall_lowpass(x: np.ndarray, sr: int, cutoff_hz: float) -> np.ndarray:
 def codec_proxy(w: Waveform, kbps: float, flavor: str = "mp3like") -> Waveform:
     """Bitrate proxy: lowpass then uniform requantization. Not a real codec,
     just a deterministic stand-in with the right quality ordering."""
-    if kbps not in (8, 16, 32, 64, 128):
-        raise UnsupportedBitrateError(f"unsupported bitrate {kbps} kbps")
-    if flavor not in ("mp3like", "opuslike"):
+    if f"codec_proxy_{flavor}" not in LEVEL_TABLES:
         raise ValueError(f"unknown flavor {flavor!r}")
+    if kbps not in LEVEL_TABLES[f"codec_proxy_{flavor}"]:
+        raise UnsupportedBitrateError(f"unsupported bitrate {kbps} kbps")
     bw = 280.0 if flavor == "mp3like" else 340.0
     cutoff = min(7600.0, bw * math.sqrt(kbps))
     bits = int(min(14, max(4, math.floor(3 + 1.5 * math.log2(kbps)))))
@@ -148,8 +152,8 @@ def reverb_decay_rate(rt60_s: float) -> float:
 
 
 def reverb_probe(w: Waveform, rt60_s: float, rng: np.random.Generator | None = None) -> Waveform:
-    """Convolve with an exponentially decaying white-noise impulse response of
-    length 0.8*RT60, trimmed back to the input length."""
+    """Convolve (by FFT at a power-of-two length) with an exponentially decaying
+    white-noise impulse response of length 0.8*RT60, trimmed back to the input length."""
     if not 0.0 < rt60_s <= 3.0:
         raise ValueError("rt60_s must be in (0, 3]")
     rng = rng or np.random.default_rng(0)
@@ -157,7 +161,9 @@ def reverb_probe(w: Waveform, rt60_s: float, rng: np.random.Generator | None = N
     t = np.arange(n_ir) / w.sample_rate
     ir = rng.standard_normal(n_ir) * np.exp(-reverb_decay_rate(rt60_s) * t)
     ir /= math.sqrt(float(np.sum(ir**2)))
-    return Waveform(_limit_peak(np.convolve(w.samples, ir)[: len(w.samples)]), w.sample_rate)
+    n_fft = 1 << (len(w.samples) + n_ir - 2).bit_length()  # exact lengths can be slow FFT sizes
+    y = np.fft.irfft(np.fft.rfft(w.samples, n_fft) * np.fft.rfft(ir, n_fft), n_fft)
+    return Waveform(_limit_peak(y[: len(w.samples)]), w.sample_rate)
 
 
 def white_noise(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -179,6 +185,12 @@ def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 NOISE_KINDS = {"white": white_noise, "pink": pink_noise}
+
+
+def _noise_generator(kind: str):
+    if kind not in NOISE_KINDS:
+        raise NomadError(f"unknown noise kind {kind!r}, expected one of {sorted(NOISE_KINDS)}")
+    return NOISE_KINDS[kind]
 
 
 def condition_rng(seed: int, source_id: str, c: DegradationCondition) -> np.random.Generator:
@@ -203,7 +215,7 @@ def apply_condition(
     if c.family == "clip":
         return clip_signal(w, c.level_param)
     if c.family == "noise":
-        noise = Waveform(NOISE_KINDS[noise_kind](len(w.samples), rng), w.sample_rate)
+        noise = Waveform(_noise_generator(noise_kind)(len(w.samples), rng), w.sample_rate)
         return mix_noise_at_snr(w, noise, c.level_param)
     if c.family.startswith("codec_proxy_"):
         return codec_proxy(w, c.level_param, c.family.removeprefix("codec_proxy_"))
@@ -261,21 +273,17 @@ def synth_dataset(
     counterpart, and write ``manifest.csv`` plus all WAVs under out_dir.
 
     Per-file failures are skipped with a warning; an empty result is an error.
-    Families must be distinct keys of ``LEVEL_TABLES`` and the noise kind a
-    key of ``NOISE_KINDS``; a call that breaks either writes nothing.
+    Repeated or unknown families, an unknown noise kind or a clean_dir without
+    WAV files are rejected before anything is written.
     """
     _check_positive_int("jobs", jobs)
     if not families or len(LEVEL_TABLES.keys() & set(families)) < len(families):
         raise NomadError(f"families must be distinct names from {sorted(LEVEL_TABLES)}, "
                          f"got {list(families)}")
-    if noise_kind not in NOISE_KINDS:
-        raise NomadError(f"unknown noise kind {noise_kind!r}, expected one of {sorted(NOISE_KINDS)}")
-    clean_dir = Path(clean_dir)
+    _noise_generator(noise_kind)
+    sources = wav_files(clean_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sources = sorted(clean_dir.glob("*.wav"))
-    if not sources:
-        raise EmptyCorpusError(f"no WAV files in {clean_dir}")
 
     conditions = [
         DegradationCondition.from_table(fam, i)

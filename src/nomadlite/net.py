@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio_core import Spectrogram, _check_positive_int
+from .audio_core import FRONT_END, Spectrogram, _check_positive_int
 from .errors import BandMismatchError, CorruptCheckpointError, ShapeMismatchError
 
 CHECKPOINT_MAGIC = b"NOMAD1\n"
@@ -32,7 +32,7 @@ EMBED_CHUNK = 24
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    bands: int = 32
+    bands: int = FRONT_END.bands
     conv_channels: tuple = (32, 64, 64, 128)
     kernel: int = 5
     stride: int = 2

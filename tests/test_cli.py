@@ -141,6 +141,31 @@ class TestNonCanonicalRate:
         assert out.read_bytes() == (tmp_path / "expect.csv").read_bytes()
 
 
+# a command line for each command that holds its required flags (global
+# flags, under None, run nsim), and every flag that a config file can set
+# with a value other than its default (None for a flag that takes no value)
+COMMAND_LINES = {
+    None: ["nsim", "--ref", "a", "--deg", "b"],
+    "synth": ["synth", "--clean-dir", "c", "--out", "o"],
+    "triplets": ["triplets", "--manifest", "m", "--out", "o"],
+    "train": ["train", "--triplets", "t", "--val", "v", "--out", "o"],
+    "score": ["score", "--model", "m", "--input-dir", "i", "--pool-dir", "p", "--out", "o"],
+    "eval-mos": ["eval-mos", "--scores", "s", "--mos", "m"],
+    "eval-rank": ["eval-rank", "--scores", "s", "--manifest", "m"],
+}
+CONFIG_FLAGS = [
+    (None, "--seed", "3"), (None, "--quiet", None),
+    ("synth", "--families", "clip,noise"), ("synth", "--noise-kind", "pink"),
+    ("synth", "--external-codec-cmd", "cp {in} {out}"), ("synth", "--jobs", "2"),
+    ("triplets", "--count", "40"), ("triplets", "--s", "0.3"), ("triplets", "--mix", "0.6"),
+    ("triplets", "--split", "0.7"),
+    ("train", "--margin", "0.5"), ("train", "--batch", "4"), ("train", "--lr", "0.01"),
+    ("train", "--patience", "3"), ("train", "--max-epochs", "2"),
+    ("score", "--mode", "fr"),
+    ("eval-mos", "--out", "x.csv"), ("eval-rank", "--out", "x.csv"),
+]
+
+
 class TestConfigFile:
     def test_overrides_defaults_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -163,11 +188,13 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert str(cfg) in err and "batch" in err and "'abc'" in err
 
-    @pytest.mark.parametrize("spelling", ["separate", "equals"])
+    @pytest.mark.parametrize("spelling", ["separate", "equals", "abbreviated"])
     def test_bad_value_exits_one_in_either_spelling(self, tmp_path, capsys, spelling):
+        # argparse accepts --conf for --config; the file used to go unread then
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("batch=abc\n")
-        flag = ["--config", str(cfg)] if spelling == "separate" else [f"--config={cfg}"]
+        flag = {"separate": ["--config", str(cfg)], "equals": [f"--config={cfg}"],
+                "abbreviated": ["--conf", str(cfg)]}[spelling]
         assert main([*flag, "nsim", "--ref", "a", "--deg", "b"]) == 1
         err = capsys.readouterr().err
         assert str(cfg) in err and "batch" in err
@@ -199,6 +226,52 @@ class TestConfigFile:
             cfg.write_text(text)
             return main(["--config", str(cfg), "nsim", "--ref", "a", "--deg", "b"]), seen, cfg
         return run
+
+    @pytest.fixture
+    def run_routes(self, tmp_path, monkeypatch):
+        """main() with a flag given on the command line and then from a
+        config file, each with the command replaced by one that records the
+        parsed args and exits 0: the two exit codes and the recorded args."""
+        import nomadlite.cli as cli
+        seen = []
+
+        def run(command, flag, value):
+            line = COMMAND_LINES[command]
+            monkeypatch.setitem(cli._COMMANDS, line[0], lambda args: seen.append(args) or 0)
+            given = [flag] if value is None else [flag, value]
+            rc_flag = main(given + line if command is None else line + given)
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"{flag[2:]}={'true' if value is None else value}\n")
+            rc_config = main(["--config", str(cfg), *line])
+            return rc_flag, rc_config, [{k: v for k, v in vars(a).items() if k != "config"}
+                                        for a in seen]
+        return run
+
+    def test_every_settable_flag_listed(self):
+        parser = build_parser()
+        settable = {(name, a.option_strings[0])
+                    for name, p in [(None, parser), *parser._sub_choices.items()]
+                    for a in p._actions
+                    if a.option_strings and not a.required and a.dest not in ("help", "config")}
+        assert settable == {(command, flag) for command, flag, _ in CONFIG_FLAGS}
+
+    @pytest.mark.parametrize("command, flag, value", CONFIG_FLAGS)
+    def test_config_value_parses_like_its_flag(self, run_routes, command, flag, value):
+        rc_flag, rc_config, (from_flag, from_config) = run_routes(command, flag, value)
+        assert rc_flag == rc_config == 0
+        assert from_config == from_flag
+        dest = flag[2:].replace("-", "_")
+        assert from_flag[dest] != getattr(build_parser().parse_args(COMMAND_LINES[command]), dest)
+
+    @pytest.mark.parametrize("command, flag, value", [("score", "--mode", "bogus"),
+                                                      ("synth", "--noise-kind", "brown")])
+    def test_value_outside_choices_exits_one(self, run_routes, capsys, command, flag, value):
+        # argparse checks choices on the command line; set_defaults does not
+        rc_flag, rc_config, seen = run_routes(command, flag, value)
+        assert rc_flag == rc_config == 1 and seen == []
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "cfg.txt" in err and flag[2:].replace("-", "_") in err and repr(value) in err
+        assert "expected one of [" in err
 
     @pytest.mark.parametrize("value, quiet", [("false", False), ("FALSE", False),
                                               ("true", True), ("True", True)])

@@ -188,6 +188,20 @@ class TestReverb:
         with pytest.raises(ValueError):
             reverb_probe(Waveform(np.zeros(100) + 0.1, 16000), 4.0)
 
+    @pytest.mark.parametrize("rt60", [5e-5, 0.15, 0.3, 0.6, 1.0, 1.5])
+    def test_equals_direct_convolution(self, utterances, rt60):
+        # the FFT convolution is not bit-exact: np.convolve is the reference,
+        # within 1e-12 absolute (the largest difference seen is about 1e-15)
+        u = utterances[6]
+        rng = np.random.default_rng(14)
+        n_ir = max(int(0.8 * rt60 * u.sample_rate), 1)
+        ir = rng.standard_normal(n_ir) * np.exp(-reverb_decay_rate(rt60) * np.arange(n_ir) / u.sample_rate)
+        direct = np.convolve(u.samples, ir / math.sqrt(float(np.sum(ir**2))))[: len(u.samples)]
+        peak = np.max(np.abs(direct))
+        expected = direct * (0.99 / peak) if peak > 1.0 else direct
+        out = reverb_probe(u, rt60, np.random.default_rng(14))
+        assert np.max(np.abs(out.samples - expected)) < 1e-12
+
 
 class TestApplyCondition:
     def test_bit_identical_reruns(self, utterances):
@@ -233,6 +247,22 @@ class TestApplyCondition:
         )
         # 16-bit quantization is the only loss through the cp round-trip
         assert np.max(np.abs(out.samples - utterances[0].samples)) < 1 / 32768
+
+    @pytest.mark.parametrize("family, level, message", [
+        ("bogus", 0, "unknown family 'bogus', expected one of ['clip',"),
+        ("clip", 5, "clip has levels 0-4, got 5"),
+        ("clip", -1, "clip has levels 0-4, got -1"),  # used to be the 60 % level
+    ])
+    def test_from_table_rejects_unknown_condition(self, family, level, message):
+        with pytest.raises(NomadError) as e:
+            DegradationCondition.from_table(family, level)
+        assert message in str(e.value)
+
+    def test_unknown_noise_kind(self, utterances):
+        with pytest.raises(NomadError) as e:
+            apply_condition(utterances[0], DegradationCondition.from_table("noise", 1), seed=0,
+                            noise_kind="brown")
+        assert "'brown'" in str(e.value) and "'pink'" in str(e.value)
 
     def test_condition_rng_depends_on_all_keys(self):
         c0 = DegradationCondition.from_table("noise", 0)
@@ -401,6 +431,12 @@ class TestSynthDataset:
         (tmp_path / "empty").mkdir()
         with pytest.raises(EmptyCorpusError):
             synth_dataset(tmp_path / "empty", tmp_path / "out", seed=0)
+
+    def test_empty_corpus_writes_nothing(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(EmptyCorpusError, match="no WAV files in"):
+            synth_dataset(tmp_path / "empty", tmp_path / "out", seed=0)
+        assert not (tmp_path / "out").exists()
 
     def test_bad_source_skipped(self, corpus, tmp_path):
         clean = tmp_path / "clean2"
