@@ -9,9 +9,10 @@ input to pooling; each conv is one GEMM per kernel tap over all N clips.
 
 Parameters live in one flat float32 vector. Layout, in order: for each conv
 layer its weight (C_out, C_in, K) then bias (C_out); then the head weight
-(embed_dim, C_last) and head bias (embed_dim). All arithmetic is float64;
-parameters are quantized back to float32 after updates so checkpoints
-round-trip bit-exactly.
+(embed_dim, C_last) and head bias (embed_dim). ``_unpack`` alone knows this
+layout; init and gradients are written through its views. All arithmetic is
+float64; parameters are quantized back to float32 after updates so
+checkpoints round-trip bit-exactly.
 """
 
 import json
@@ -88,17 +89,14 @@ class EmbeddingModel:
 def init_model(cfg: EncoderConfig) -> EmbeddingModel:
     """Xavier-uniform weights, zero biases, deterministic in init_seed."""
     rng = np.random.default_rng(cfg.init_seed)
-    parts = []
-    for c_in, c_out in cfg.layer_dims():
-        fan_in = c_in * cfg.kernel
-        fan_out = c_out * cfg.kernel
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        parts.append(rng.uniform(-bound, bound, c_out * c_in * cfg.kernel))
-        parts.append(np.zeros(c_out))
-    bound = np.sqrt(6.0 / (cfg.conv_channels[-1] + cfg.embed_dim))
-    parts.append(rng.uniform(-bound, bound, cfg.embed_dim * cfg.conv_channels[-1]))
-    parts.append(np.zeros(cfg.embed_dim))
-    return EmbeddingModel(np.concatenate(parts).astype(np.float32), cfg)
+    theta = np.zeros(cfg.param_count)
+    layers, wh, _bh = _unpack(theta, cfg)
+    for w in [w for w, _b in layers] + [wh]:
+        c_out, c_in = w.shape[:2]
+        k = w[0, 0].size  # kernel taps; 1 for the head
+        bound = np.sqrt(6.0 / (c_in * k + c_out * k))
+        w[...] = rng.uniform(-bound, bound, w.shape)
+    return EmbeddingModel(theta.astype(np.float32), cfg)
 
 
 def _conv1d_forward(x, w, b, stride):
@@ -106,29 +104,32 @@ def _conv1d_forward(x, w, b, stride):
     clips. x: (N, T, C_in), w: (C_out, C_in, K); returns (N, T_out, C_out)."""
     k_taps = w.shape[2]
     t_out = (x.shape[1] - k_taps) // stride + 1
+    wt = np.ascontiguousarray(w.transpose(2, 1, 0))  # (K, C_in, C_out)
     z = np.empty((x.shape[0], t_out, w.shape[0]))
     z[...] = b
     for k in range(k_taps):
-        z += x[:, k::stride][:, :t_out] @ w[:, :, k].T
+        z += x[:, k::stride][:, :t_out] @ wt[k]
     return z
 
 
-def _conv1d_backward(x, w, stride, gz, want_gx):
-    """Gradients of _conv1d_forward wrt weights, bias and (if want_gx)
-    input, given gz: (N, T_out, C_out)."""
+def _conv1d_backward(x, w, stride, gz, gw, gb, want_gx):
+    """Add the weight and bias gradients of _conv1d_forward into gw and gb,
+    given gz: (N, T_out, C_out); return the input gradient if want_gx."""
     k_taps = w.shape[2]
     t_out = gz.shape[1]
     gzt = gz.transpose(0, 2, 1)
-    gw = np.empty_like(w)
+    buf = np.empty((gz.shape[0],) + w.shape[:2])  # one tap's per-clip (C_out, C_in)
     for k in range(k_taps):
-        gw[:, :, k] = (gzt @ x[:, k::stride][:, :t_out]).sum(axis=0)
-    gb = gz.sum(axis=(0, 1))
-    gx = None
-    if want_gx:
-        gx = np.zeros_like(x)
-        for k in range(k_taps):
-            gx[:, k::stride][:, :t_out] += gz @ w[:, :, k]
-    return gx, gw, gb
+        np.matmul(gzt, x[:, k::stride][:, :t_out], out=buf)
+        gw[:, :, k] += buf.sum(axis=0)
+    gb += gz.sum(axis=(0, 1))
+    if not want_gx:
+        return None
+    wk = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, C_out, C_in)
+    gx = np.zeros_like(x)
+    for k in range(k_taps):
+        gx[:, k::stride][:, :t_out] += gz @ wk[k]
+    return gx
 
 
 def _unpack(theta: np.ndarray, cfg: EncoderConfig):
@@ -186,35 +187,32 @@ def _select(cache, rows):
 
 
 def _backward(cache, cfg: EncoderConfig, grad_e: np.ndarray, layer_grads=None,
-              want_input_grad: bool = False):
-    """Backprop (N, embed_dim) embedding gradients through the batch, summing
-    parameter gradients over clips. layer_grads optionally injects extra
-    gradients on each post-ReLU conv activation (used by the feature loss).
-    Returns (flat parameter gradient, input gradient over the padded
-    (N, T, bands) batch or None)."""
+              want_input_grad: bool = False, grad=None):
+    """Backprop (N, embed_dim) embedding gradients through the batch, adding
+    parameter gradients summed over clips into ``grad`` (a zero vector if
+    None). layer_grads optionally injects extra gradients on each post-ReLU
+    conv activation (used by the feature loss). Returns (flat parameter
+    gradient, input gradient over the padded (N, T, bands) batch or None)."""
+    if grad is None:
+        grad = np.zeros(cfg.param_count)
+    g_layers, g_wh, g_bh = _unpack(grad, cfg)
     e, norm, xs = cache["e"], cache["norm"], cache["xs"]
     gz_head = (grad_e - e * np.sum(e * grad_e, axis=1, keepdims=True)) / norm
-    g_bh = gz_head.sum(axis=0)
-    g_wh = gz_head.T @ cache["hrelu"]
+    g_bh += gz_head.sum(axis=0)
+    g_wh += gz_head.T @ cache["hrelu"]
     g_pooled = (gz_head @ cache["wh"]) * (cache["pooled"] > 0)
     t_last = xs[-1].shape[1]
     g_act = np.repeat((g_pooled / t_last)[:, None, :], t_last, axis=1)
 
-    grads = [None] * len(cache["layers"])
     for l in range(len(cache["layers"]) - 1, -1, -1):
         if layer_grads is not None and layer_grads[l] is not None:
             g_act += layer_grads[l]
         g_act *= xs[l + 1] > 0
         w, _b = cache["layers"][l]
-        g_act, gw, gb = _conv1d_backward(xs[l], w, cfg.stride, g_act,
-                                         want_gx=l > 0 or want_input_grad)
-        grads[l] = (gw, gb)
-
-    flat = np.concatenate(
-        [np.concatenate([gw.ravel(), gb]) for gw, gb in grads]
-        + [g_wh.ravel(), g_bh]
-    )
-    return flat, g_act
+        gw, gb = g_layers[l]
+        g_act = _conv1d_backward(xs[l], w, cfg.stride, g_act, gw, gb,
+                                 want_gx=l > 0 or want_input_grad)
+    return grad, g_act
 
 
 def _bucketed_forward(theta, cfg: EncoderConfig, specs, limit: int, caches=None):
@@ -325,9 +323,10 @@ def loss_and_gradients(model: EmbeddingModel, batch, m: float):
         if len(rows) < len(members):
             _select(cache, rows)
             g = g[rows]
-        grad += _backward(cache, cfg, g)[0]
+        _backward(cache, cfg, g, grad=grad)
     n = len(batch)
-    return float(np.sum(hinge[active])) / n, grad / n
+    grad /= n
+    return float(np.sum(hinge[active])) / n, grad
 
 
 def save_checkpoint(model: EmbeddingModel, path) -> None:

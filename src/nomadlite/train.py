@@ -45,10 +45,11 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_positive_int("batch_size", self.batch_size)
-        epochs = self.max_epochs
-        if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 0:
-            raise ValueError(f"max_epochs must be a nonnegative integer, got {epochs!r}")
-        for name in ("margin", "lr", "patience"):
+        for name in ("max_epochs", "patience"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        for name in ("margin", "lr"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
@@ -84,7 +85,8 @@ class SpectrogramCache:
 
 
 def _sgd_step(model: EmbeddingModel, grad: np.ndarray, lr: float) -> None:
-    theta = model.parameters.astype(np.float64) - lr * grad
+    theta = model.parameters.astype(np.float64)
+    theta -= lr * grad
     model.parameters = theta.astype(np.float32)
 
 

@@ -25,6 +25,9 @@ from nomadlite.net import (
 # small enough for finite differences, same structure as the default
 TINY = EncoderConfig(bands=2, conv_channels=(4, 8), kernel=3, stride=2,
                      embed_dim=8, init_seed=0)
+# full-width input, two narrow layers
+SMALL = EncoderConfig(bands=32, conv_channels=(8, 16), kernel=3, stride=2,
+                      embed_dim=16, init_seed=0)
 
 
 def spec(values):
@@ -321,6 +324,106 @@ class TestBatchedPath:
             l2, g2 = loss_and_gradients(model, [batch[i] for i in order], 1.0)
             assert abs(l2 - loss) < 1e-12
             assert np.max(np.abs(g2 - grad)) < 1e-12
+
+
+def concatenated_init_model(cfg):
+    """init_model's draws as one concatenation of per-block arrays: the
+    reference that init_model's writes into _unpack's views are held to."""
+    rng = np.random.default_rng(cfg.init_seed)
+    parts = []
+    for c_in, c_out in cfg.layer_dims():
+        fan_in = c_in * cfg.kernel
+        fan_out = c_out * cfg.kernel
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        parts.append(rng.uniform(-bound, bound, c_out * c_in * cfg.kernel))
+        parts.append(np.zeros(c_out))
+    bound = np.sqrt(6.0 / (cfg.conv_channels[-1] + cfg.embed_dim))
+    parts.append(rng.uniform(-bound, bound, cfg.embed_dim * cfg.conv_channels[-1]))
+    parts.append(np.zeros(cfg.embed_dim))
+    return np.concatenate(parts).astype(np.float32)
+
+
+def concatenated_backward(cache, cfg, grad_e):
+    """One bucket's parameter gradient as per-block arrays joined by
+    concatenation: the reference for _backward's adds into _unpack's views."""
+    e, norm, xs = cache["e"], cache["norm"], cache["xs"]
+    gz_head = (grad_e - e * np.sum(e * grad_e, axis=1, keepdims=True)) / norm
+    g_pooled = (gz_head @ cache["wh"]) * (cache["pooled"] > 0)
+    t_last = xs[-1].shape[1]
+    g_act = np.repeat((g_pooled / t_last)[:, None, :], t_last, axis=1)
+    blocks = [(gz_head.T @ cache["hrelu"]).ravel(), gz_head.sum(axis=0)]
+    for l in range(len(cache["layers"]) - 1, -1, -1):
+        g_act *= xs[l + 1] > 0
+        w, b = cache["layers"][l]
+        gw, gb = np.zeros_like(w), np.zeros_like(b)
+        g_act = net._conv1d_backward(xs[l], w, cfg.stride, g_act, gw, gb, want_gx=l > 0)
+        blocks = [gw.ravel(), gb] + blocks
+    return np.concatenate(blocks)
+
+
+def concatenated_loss_and_gradients(model, batch, m):
+    """loss_and_gradients adding a fresh concatenated gradient per bucket
+    into a sum that is divided at the end."""
+    theta = model.parameters.astype(np.float64)
+    cfg = model.config
+    specs, ia, ip, ineg = net.index_triples(batch)
+    caches = []
+    emb = net._bucketed_forward(theta, cfg, specs, len(specs), caches)
+    e_a, e_p, e_n = emb[ia], emb[ip], emb[ineg]
+    hinge = triplet_loss(e_a, e_p, e_n, m)
+    active = hinge > 0
+    grad_e = np.zeros_like(emb)
+    np.add.at(grad_e, ia[active], 2.0 * (e_n - e_p)[active])
+    np.add.at(grad_e, ip[active], 2.0 * (e_p - e_a)[active])
+    np.add.at(grad_e, ineg[active], 2.0 * (e_a - e_n)[active])
+    grad = np.zeros(cfg.param_count)
+    for members, cache in caches:
+        g = grad_e[members]
+        rows = np.flatnonzero(g.any(axis=1))
+        if len(rows) == 0:
+            continue
+        if len(rows) < len(members):
+            net._select(cache, rows)
+            g = g[rows]
+        grad += concatenated_backward(cache, cfg, g)
+    n = len(batch)
+    return float(np.sum(hinge[active])) / n, grad / n
+
+
+class TestParameterLayout:
+    """init_model and the gradient write into _unpack's views of one flat
+    vector, bit-identical to assembling per-block arrays."""
+
+    CONFIGS = [EncoderConfig(), SMALL, TINY]
+    IDS = ["default", "small", "tiny"]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
+    def test_init_equals_concatenation(self, cfg):
+        assert np.array_equal(init_model(cfg).parameters, concatenated_init_model(cfg))
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
+    def test_loss_and_gradients_equal_concatenation(self, cfg, monkeypatch):
+        # two frame counts, so two buckets accumulate into one gradient; the
+        # last triplet's hinge is 0 at margin 0, so its clips drop out of
+        # their bucket's backward through _select
+        rng = np.random.default_rng(13)
+        c = [random_spec(rng, t, cfg.bands) for t in (40, 40, 40, 40, 40, 90, 90, 90)]
+        batch = [(c[0], c[1], c[5]), (c[5], c[6], c[2]), (c[7], c[2], c[0]),
+                 (c[6], c[0], c[7]), (c[3], c[3], c[4])]
+        model = init_model(cfg)
+        selects = []
+        select = net._select
+
+        def counting_select(cache, rows):
+            selects.append(rows)
+            select(cache, rows)
+
+        monkeypatch.setattr(net, "_select", counting_select)
+        loss, grad = loss_and_gradients(model, batch, 0.0)
+        assert loss > 0 and len(selects) >= 1
+        ref_loss, ref_grad = concatenated_loss_and_gradients(model, batch, 0.0)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
 
 
 class TestCheckpoint:

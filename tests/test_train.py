@@ -59,6 +59,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="max_epochs"):
             TrainConfig(max_epochs=max_epochs)
 
+    @pytest.mark.parametrize("patience", [-1, 2.5, True])
+    def test_patience_not_a_nonnegative_int_rejected(self, patience):
+        # 2.5 and True used to reach fit's since_improve >= patience
+        with pytest.raises(ValueError, match="patience"):
+            TrainConfig(patience=patience)
+
+    def test_zero_patience_allowed(self):
+        assert TrainConfig(patience=0).patience == 0
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["margin", "lr"])
     def test_non_finite_rejected(self, name, value):
