@@ -34,6 +34,11 @@ def _check_positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _check_nonnegative_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 @dataclass
 class Waveform:
     """Mono PCM audio, amplitudes in [-1, 1]."""

@@ -166,9 +166,8 @@ def _cmd_nsim(args) -> int:
 
 
 def _cmd_triplets(args) -> int:
-    manifest = degrade.read_manifest(args.manifest)
-    sets = tri.build_sample_sets(manifest)
     cfg = tri.SamplerConfig(s=args.s, strategy_mix=args.mix, rng_seed=args.seed)
+    sets = tri.build_sample_sets(degrade.read_manifest(args.manifest))
     records = tri.generate_triplets(sets, cfg, args.count)
     train_recs, val_recs = tri.split_by_source(records, args.split, rng_seed=args.seed)
     out = Path(args.out)

@@ -82,7 +82,7 @@ class JoinEmptyError(NomadError):
 
 
 class DataError(NomadError):
-    """Training data invalid (empty or source-overlapping splits, repeated clips)."""
+    """Input data invalid (empty or source-overlapping splits, a table repeating a clip)."""
 
 
 class MalformedTableError(NomadError, ValueError):

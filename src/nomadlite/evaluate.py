@@ -9,7 +9,7 @@ import numpy as np
 from .degrade import ManifestRow
 from .errors import DegenerateInputError, JoinEmptyError
 from .score import ScoreRow
-from .table import read_table
+from .table import by_clip_path, read_table
 
 log = logging.getLogger(__name__)
 
@@ -78,11 +78,12 @@ def read_mos(path) -> list[MosRecord]:
 
 def aggregate_per_condition(scores: list[ScoreRow], mos: list[MosRecord]) -> EvalReport:
     """Join scores with MOS by clip path, average both per condition, then
-    correlate the condition means."""
-    mos_by_clip = {m.clip_path: m for m in mos}
+    correlate the condition means. A clip listed twice in either table raises
+    DataError."""
+    mos_by_clip = by_clip_path(mos, "MOS file")
     per_cond: dict[str, list[tuple[float, float]]] = {}
     dropped = 0
-    for s in scores:
+    for s in by_clip_path(scores, "score file").values():
         m = mos_by_clip.get(s.clip_path)
         if m is None:
             dropped += 1
@@ -107,10 +108,11 @@ def monotonicity_report(scores: list[ScoreRow], manifest: list[ManifestRow]) -> 
     """Per-family Spearman of score vs level parameter. Raw signed values;
     the sign convention (level direction) is the family's own. Families whose
     correlation is undefined map to None. Raises JoinEmptyError if no score
-    matches a degraded manifest row."""
-    by_clip = {r.clip_path: r for r in manifest}
+    matches a degraded manifest row, and DataError if either table lists a
+    clip twice."""
+    by_clip = by_clip_path(manifest, "manifest")
     per_family: dict[str, list[tuple[float, float]]] = {}
-    for s in scores:
+    for s in by_clip_path(scores, "score file").values():
         row = by_clip.get(s.clip_path)
         if row is None or row.family == "clean":
             continue

@@ -1,8 +1,8 @@
 """Compact convolutional embedding network with hand-written gradients.
 
 Architecture: a stack of valid temporal convolutions (ReLU, stride 2) over
-the 32-band log-mel spectrogram, temporal mean pooling, ReLU, an affine head,
-and L2 normalization to a 256-d embedding.
+the 32-band log-mel spectrogram, temporal mean pooling (nonnegative, so no
+ReLU), an affine head, and L2 normalization to a 256-d embedding.
 
 The encoder runs on a stack of equal-length clips, laid out (N, T, C) from
 input to pooling; each conv is one GEMM per kernel tap over all N clips.
@@ -112,22 +112,25 @@ def _conv1d_forward(x, w, b, stride):
     return z
 
 
-def _conv1d_backward(x, w, stride, gz, gw, gb, want_gx):
+def _conv1d_backward(x, w, stride, gz, gw, gb):
     """Add the weight and bias gradients of _conv1d_forward into gw and gb,
-    given gz: (N, T_out, C_out); return the input gradient if want_gx."""
-    k_taps = w.shape[2]
+    given gz: (N, T_out, C_out)."""
     t_out = gz.shape[1]
     gzt = gz.transpose(0, 2, 1)
     buf = np.empty((gz.shape[0],) + w.shape[:2])  # one tap's per-clip (C_out, C_in)
-    for k in range(k_taps):
+    for k in range(w.shape[2]):
         np.matmul(gzt, x[:, k::stride][:, :t_out], out=buf)
         gw[:, :, k] += buf.sum(axis=0)
     gb += gz.sum(axis=(0, 1))
-    if not want_gx:
-        return None
+
+
+def _conv1d_input_grad(x_shape, w, stride, gz):
+    """Gradient of _conv1d_forward wrt its (N, T, C_in) input of x_shape,
+    given gz: (N, T_out, C_out)."""
+    t_out = gz.shape[1]
     wk = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, C_out, C_in)
-    gx = np.zeros_like(x)
-    for k in range(k_taps):
+    gx = np.zeros(x_shape)
+    for k in range(w.shape[2]):
         gx[:, k::stride][:, :t_out] += gz @ wk[k]
     return gx
 
@@ -165,54 +168,51 @@ def _forward(theta: np.ndarray, cfg: EncoderConfig, values_list):
         z = _conv1d_forward(xs[-1], w, b, cfg.stride)
         xs.append(np.maximum(z, 0.0, out=z))
     pooled = xs[-1].mean(axis=1)
-    hrelu = np.maximum(pooled, 0.0)
-    z_head = hrelu @ wh.T + bh
+    z_head = pooled @ wh.T + bh
     norm = np.maximum(np.linalg.norm(z_head, axis=1), NORM_EPS)[:, None]
     e = z_head / norm
-    cache = {
-        "layers": layers, "wh": wh, "xs": xs, "pooled": pooled,
-        "hrelu": hrelu, "norm": norm, "e": e,
-    }
+    cache = {"layers": layers, "wh": wh, "xs": xs, "pooled": pooled, "norm": norm, "e": e}
     return e, cache
 
 
 def _select(cache, rows):
     """Shrink a batch's cache in place to the clips at ``rows``; each cached
     array is freed as soon as its subset is taken."""
-    for key in ("pooled", "hrelu", "norm", "e"):
+    for key in ("pooled", "norm", "e"):
         cache[key] = cache[key][rows]
     xs = cache["xs"]
     for i in range(len(xs)):
         xs[i] = xs[i][rows]
 
 
-def _backward(cache, cfg: EncoderConfig, grad_e: np.ndarray, layer_grads=None,
-              want_input_grad: bool = False, grad=None):
-    """Backprop (N, embed_dim) embedding gradients through the batch, adding
-    parameter gradients summed over clips into ``grad`` (a zero vector if
-    None). layer_grads optionally injects extra gradients on each post-ReLU
-    conv activation (used by the feature loss). Returns (flat parameter
-    gradient, input gradient over the padded (N, T, bands) batch or None)."""
-    if grad is None:
-        grad = np.zeros(cfg.param_count)
-    g_layers, g_wh, g_bh = _unpack(grad, cfg)
+def _backward(cache, cfg: EncoderConfig, grad_e: np.ndarray, grad=None, layer_grads=None):
+    """Backprop (N, embed_dim) embedding gradients through the batch. Given
+    ``grad``, add the parameter gradient summed over clips into it and return
+    None. Without it, compute no parameter gradient and return the input
+    gradient over the padded (N, T, bands) batch; layer_grads optionally
+    injects extra gradients on each post-ReLU conv activation (the feature
+    loss passes one per layer)."""
     e, norm, xs = cache["e"], cache["norm"], cache["xs"]
     gz_head = (grad_e - e * np.sum(e * grad_e, axis=1, keepdims=True)) / norm
-    g_bh += gz_head.sum(axis=0)
-    g_wh += gz_head.T @ cache["hrelu"]
-    g_pooled = (gz_head @ cache["wh"]) * (cache["pooled"] > 0)
+    if grad is not None:
+        g_layers, g_wh, g_bh = _unpack(grad, cfg)
+        g_bh += gz_head.sum(axis=0)
+        g_wh += gz_head.T @ cache["pooled"]
+    # pooled is 0 only where a channel's last activations all are; their ReLU mask zeroes it
+    g_pooled = gz_head @ cache["wh"]
     t_last = xs[-1].shape[1]
     g_act = np.repeat((g_pooled / t_last)[:, None, :], t_last, axis=1)
 
     for l in range(len(cache["layers"]) - 1, -1, -1):
-        if layer_grads is not None and layer_grads[l] is not None:
+        if layer_grads is not None:
             g_act += layer_grads[l]
         g_act *= xs[l + 1] > 0
         w, _b = cache["layers"][l]
-        gw, gb = g_layers[l]
-        g_act = _conv1d_backward(xs[l], w, cfg.stride, g_act, gw, gb,
-                                 want_gx=l > 0 or want_input_grad)
-    return grad, g_act
+        if grad is not None:
+            _conv1d_backward(xs[l], w, cfg.stride, g_act, *g_layers[l])
+        if l > 0 or grad is None:
+            g_act = _conv1d_input_grad(xs[l].shape, w, cfg.stride, g_act)
+    return None if grad is not None else g_act
 
 
 def _bucketed_forward(theta, cfg: EncoderConfig, specs, limit: int, caches=None):
@@ -266,8 +266,7 @@ def feature_loss_spec(model: EmbeddingModel, clean_values: np.ndarray, est_value
     loss += float(np.sum(np.abs(emb_diff)))
 
     _select(cache, [1])
-    _, input_grad = _backward(cache, cfg, np.sign(emb_diff), layer_grads=layer_grads,
-                              want_input_grad=True)
+    input_grad = _backward(cache, cfg, np.sign(emb_diff), layer_grads=layer_grads)
     return loss, input_grad[0, : len(est_values)]  # drop min_frames padding
 
 

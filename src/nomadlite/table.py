@@ -12,7 +12,7 @@ import csv
 import math
 from contextlib import nullcontext
 
-from .errors import MalformedTableError
+from .errors import DataError, MalformedTableError
 
 
 def write_table(dest, columns, rows) -> None:
@@ -39,6 +39,17 @@ def read_table(path, columns) -> list[tuple]:
             raise MalformedTableError(f"{path}:{reader.line_num}: {e}") from e
         except UnicodeDecodeError as e:
             raise MalformedTableError(f"{path}: not UTF-8 text ({e})") from e
+
+
+def by_clip_path(rows, table: str) -> dict:
+    """Rows keyed by ``clip_path``, in order; a table that lists a clip twice
+    raises DataError naming the table and the clip."""
+    out = {}
+    for row in rows:
+        if row.clip_path in out:
+            raise DataError(f"{table} repeats clip path {row.clip_path}")
+        out[row.clip_path] = row
+    return out
 
 
 def _parse_row(path, line: int, columns, row: list[str]) -> tuple:

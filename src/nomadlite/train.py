@@ -1,13 +1,14 @@
 """Triplet training loop: plain SGD, validation early stopping, lr decay."""
 
 import logging
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_core import Spectrogram, _check_positive_int, load_wav, log_band_spectrogram
+from .audio_core import (
+    Spectrogram, _check_nonnegative_int, _check_positive_int, load_wav, log_band_spectrogram,
+)
 from .errors import DataError
 from .net import (
     EmbeddingModel,
@@ -45,10 +46,8 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_positive_int("batch_size", self.batch_size)
-        for name in ("max_epochs", "patience"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        for name in ("max_epochs", "patience", "seed"):
+            _check_nonnegative_int(name, getattr(self, name))
         for name in ("margin", "lr"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):

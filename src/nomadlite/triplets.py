@@ -11,6 +11,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
+from .audio_core import _check_nonnegative_int
 from .degrade import ManifestRow
 from .errors import (
     DataError,
@@ -18,7 +19,7 @@ from .errors import (
     ExhaustedSamplerError,
     TooFewEntriesError,
 )
-from .table import read_table, write_table
+from .table import by_clip_path, read_table, write_table
 
 TRIPLET_COLUMNS = (
     ("source_id", str, ""), ("anchor_path", str, ""), ("positive_path", str, ""),
@@ -64,6 +65,7 @@ class SamplerConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        _check_nonnegative_int("rng_seed", self.rng_seed)
         if not (np.isfinite(self.s) and self.s >= 0):
             raise ValueError(f"s must be finite and >= 0, got {self.s!r}")
         if not 0.0 <= self.strategy_mix <= 1.0:
@@ -74,11 +76,7 @@ def build_sample_sets(manifest: list[ManifestRow]) -> list[SampleSet]:
     """Group degraded manifest rows per source; clean rows are excluded from
     triplet pools. Sources with fewer than MIN_ENTRIES rows are skipped."""
     by_source: dict[str, list[SampleEntry]] = {}
-    seen = set()
-    for row in manifest:
-        if row.clip_path in seen:
-            raise DataError(f"manifest repeats clip path {row.clip_path}")
-        seen.add(row.clip_path)
+    for row in by_clip_path(manifest, "manifest").values():
         if row.family == "clean":
             continue
         by_source.setdefault(row.source_id, []).append(SampleEntry(row.clip_path, row.nsim))

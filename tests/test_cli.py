@@ -321,6 +321,17 @@ class TestEvalOut:
             "severe,0.800000,1.500000\n"
         )
 
+    def test_eval_mos_repeated_clip_exits_one(self, tmp_path, capsys):
+        # the join used to keep the last of a.wav's rows and report c1 at MOS 1.0
+        write_scores([ScoreRow("a.wav", 0.1, "nmr", "p"), ScoreRow("b.wav", 0.9, "nmr", "p")],
+                     tmp_path / "s.csv")
+        (tmp_path / "mos.csv").write_text(
+            "clip_path,condition_id,mos\na.wav,c1,4.5\na.wav,c1,1.0\nb.wav,c2,2.0\n")
+        assert main(["--quiet", "eval-mos", "--scores", str(tmp_path / "s.csv"),
+                     "--mos", str(tmp_path / "mos.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "MOS file repeats clip path a.wav" in err
+
     def test_eval_rank_no_join_exits_one(self, tmp_path, capsys):
         # manifest paths relative, score paths absolute: nothing joins
         write_manifest([ManifestRow(f"data/n{i}.wav", "s", "noise", i, 8.0 * i, 0.5)
@@ -508,6 +519,19 @@ class TestPipeline:
                      flag, value, "--out", str(tmp_path / "m.ckpt")]) == 1
         assert flag[2:] in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "triplets"])
+    def test_negative_seed_exits_one_before_reading(self, tmp_path, capsys, command):
+        # the input files do not exist, so reading any of them first would name a path
+        argv = {
+            "train": ["train", "--triplets", str(tmp_path / "t.csv"),
+                      "--val", str(tmp_path / "v.csv"), "--out", str(tmp_path / "m.ckpt")],
+            "triplets": ["triplets", "--manifest", str(tmp_path / "m.csv"),
+                         "--out", str(tmp_path / "out")],
+        }[command]
+        assert main(["--quiet", "--seed", "-1", *argv]) == 1
+        err = capsys.readouterr().err
+        assert "seed must be a nonnegative integer, got -1" in err and str(tmp_path) not in err
 
     def test_train_negative_max_epochs_exits_one(self, pipeline, tmp_path, capsys):
         root, *_ = pipeline

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nomadlite.degrade import ManifestRow
-from nomadlite.errors import DegenerateInputError, JoinEmptyError
+from nomadlite.errors import DataError, DegenerateInputError, JoinEmptyError
 from nomadlite.evaluate import (
     MosRecord,
     _rank,
@@ -119,6 +119,20 @@ class TestAggregate:
         assert report.pc == pytest.approx(-1.0, abs=1e-12)
         assert report.sc == pytest.approx(-1.0, abs=1e-12)
 
+    def test_repeated_mos_clip_rejected(self):
+        # the join used to keep the last row, so c0's condition read MOS 1.0
+        scores, mos = self.fixture_rows()
+        mos.append(MosRecord("c0.wav", "mild", 1.0))
+        with pytest.raises(DataError, match="MOS file repeats clip path c0.wav"):
+            aggregate_per_condition(scores, mos)
+
+    def test_repeated_score_clip_rejected(self):
+        # the join used to count the repeated clip twice in its condition's mean
+        scores, mos = self.fixture_rows()
+        scores.append(ScoreRow("c4.wav", 0.0, "nmr", "p"))
+        with pytest.raises(DataError, match="score file repeats clip path c4.wav"):
+            aggregate_per_condition(scores, mos)
+
     def test_no_overlap_raises(self):
         with pytest.raises(JoinEmptyError):
             aggregate_per_condition(
@@ -191,6 +205,19 @@ class TestMonotonicity:
                     ManifestRow("s__noise_l1.wav", "s", "noise", 1, 8.0, 0.6)]
         scores = [ScoreRow(c, 0.5, "nmr", "p") for c in clips]
         with pytest.raises(JoinEmptyError):
+            monotonicity_report(scores, manifest)
+
+    def test_clip_under_two_families_rejected(self):
+        # the join used to count the clip only under the family listed last
+        manifest, scores = self.manifest_and_scores(lambda fam, lp, d, src: d * lp)
+        manifest.append(ManifestRow("s0__noise_l1.wav", "s0", "clip", 1, 10.0, 0.5))
+        with pytest.raises(DataError, match="manifest repeats clip path s0__noise_l1.wav"):
+            monotonicity_report(scores, manifest)
+
+    def test_repeated_score_clip_rejected(self):
+        manifest, scores = self.manifest_and_scores(lambda fam, lp, d, src: d * lp)
+        scores.append(scores[3])
+        with pytest.raises(DataError, match="score file repeats clip path s0__noise_l3.wav"):
             monotonicity_report(scores, manifest)
 
     def test_degenerate_family_is_none(self):

@@ -351,12 +351,14 @@ def concatenated_backward(cache, cfg, grad_e):
     g_pooled = (gz_head @ cache["wh"]) * (cache["pooled"] > 0)
     t_last = xs[-1].shape[1]
     g_act = np.repeat((g_pooled / t_last)[:, None, :], t_last, axis=1)
-    blocks = [(gz_head.T @ cache["hrelu"]).ravel(), gz_head.sum(axis=0)]
+    blocks = [(gz_head.T @ np.maximum(cache["pooled"], 0.0)).ravel(), gz_head.sum(axis=0)]
     for l in range(len(cache["layers"]) - 1, -1, -1):
         g_act *= xs[l + 1] > 0
         w, b = cache["layers"][l]
         gw, gb = np.zeros_like(w), np.zeros_like(b)
-        g_act = net._conv1d_backward(xs[l], w, cfg.stride, g_act, gw, gb, want_gx=l > 0)
+        net._conv1d_backward(xs[l], w, cfg.stride, g_act, gw, gb)
+        if l > 0:
+            g_act = net._conv1d_input_grad(xs[l].shape, w, cfg.stride, g_act)
         blocks = [gw.ravel(), gb] + blocks
     return np.concatenate(blocks)
 

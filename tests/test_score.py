@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nomadlite import net
 from nomadlite.audio_core import Waveform
 from nomadlite.errors import EmptyPoolError, ShapeMismatchError
 from nomadlite.net import EmbeddingModel, EncoderConfig, _backward, _forward, init_model
@@ -213,8 +214,7 @@ def two_forward_feature_loss(model, clean_values, est_values):
         layer_grads.append(np.sign(diff) / t)
     emb_diff = e_e - e_c
     loss += float(np.sum(np.abs(emb_diff)))
-    _, input_grad = _backward(cache_e, cfg, np.sign(emb_diff), layer_grads=layer_grads,
-                              want_input_grad=True)
+    input_grad = _backward(cache_e, cfg, np.sign(emb_diff), layer_grads=layer_grads)
     return loss, input_grad[0, : len(est_values)]
 
 
@@ -232,6 +232,26 @@ class TestStackedFeatureLoss:
         assert ref_loss > 0 and grad.shape == ref_grad.shape == est.shape
         assert abs(loss - ref_loss) <= 1e-12 * ref_loss
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    def test_computes_no_parameter_gradient(self, monkeypatch):
+        calls = []
+        conv1d_backward = net._conv1d_backward
+
+        def counting_conv1d_backward(*args, **kwargs):
+            calls.append(args)
+            return conv1d_backward(*args, **kwargs)
+
+        monkeypatch.setattr(net, "_conv1d_backward", counting_conv1d_backward)
+        model = init_model(TINY)
+        rng = np.random.default_rng(6)
+        clean = rng.standard_normal((40, TINY.bands))
+        loss, grad = feature_loss_spec(model, clean, clean + 0.5 * rng.standard_normal(clean.shape))
+        assert loss > 0 and np.any(grad != 0)
+        assert calls == []
+        # the counter does see a training backward: one call per conv layer
+        e, cache = _forward(model.parameters.astype(np.float64), TINY, [clean])
+        _backward(cache, TINY, np.ones_like(e), grad=np.zeros(TINY.param_count))
+        assert len(calls) == len(TINY.conv_channels)
 
     @pytest.mark.parametrize("est_shape", [(14, 2), (16, 2), (15, 3)])
     def test_unequal_shapes_rejected(self, est_shape):

@@ -65,6 +65,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=patience)
 
+    @pytest.mark.parametrize("seed", [-1, 0.5, True])
+    def test_seed_not_a_nonnegative_int_rejected(self, seed):
+        # -1 used to pass here and fail in fit's default_rng, after every clip was loaded
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=seed)
+
     def test_zero_patience_allowed(self):
         assert TrainConfig(patience=0).patience == 0
 

@@ -212,6 +212,11 @@ class TestSamplerConfig:
         with pytest.raises(ValueError, match="s must be finite"):
             SamplerConfig(s=s)
 
+    @pytest.mark.parametrize("rng_seed", [-1, 0.5, True])
+    def test_seed_not_a_nonnegative_int_rejected(self, rng_seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            SamplerConfig(rng_seed=rng_seed)
+
 
 class TestGenerateTriplets:
     def test_deterministic(self):
