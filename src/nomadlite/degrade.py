@@ -234,9 +234,11 @@ def _run_external_codec(w: Waveform, kbps: float, cmd_template: str | None, work
         in_path = Path(tmp) / "in.wav"
         out_path = Path(tmp) / "out.wav"
         save_wav(w, in_path)
-        cmd = cmd_template.format(**{"in": str(in_path), "out": str(out_path), "kbps": int(kbps)})
+        # split before substituting, so a path with spaces stays one argument
+        fields = {"in": str(in_path), "out": str(out_path), "kbps": int(kbps)}
+        cmd = [token.format(**fields) for token in shlex.split(cmd_template)]
         try:
-            proc = subprocess.run(shlex.split(cmd), capture_output=True)
+            proc = subprocess.run(cmd, capture_output=True)
         except FileNotFoundError as e:
             raise MissingEncoderError(f"encoder executable not found: {e}") from e
         if proc.returncode != 0:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio_core import FRONT_END, Spectrogram, _check_positive_int
+from .audio_core import FRONT_END, Spectrogram, _check_nonnegative_int, _check_positive_int
 from .errors import BandMismatchError, CorruptCheckpointError, ShapeMismatchError
 
 CHECKPOINT_MAGIC = b"NOMAD1\n"
@@ -48,6 +48,7 @@ class EncoderConfig:
             raise ValueError("conv_channels must name at least one layer")
         for c in self.conv_channels:
             _check_positive_int("conv_channels entry", c)
+        _check_nonnegative_int("init_seed", self.init_seed)
 
     @property
     def min_frames(self) -> int:

@@ -4,10 +4,11 @@ The positive is always the entry with NSIM closest to the anchor. Negatives
 come from one of two strategies: "easy" draws uniformly among entries whose
 NSIM distance to the anchor exceeds the positive's by at least a margin s;
 "hard" takes the closest entry strictly beyond the positive's distance.
+Each rule reads only the anchor's distance vector from ``distances``.
 """
 
 import logging
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -30,20 +31,16 @@ MIN_ENTRIES = 3  # degraded rows a source needs to form triplets
 MAX_ATTEMPTS_PER_TRIPLET = 100
 
 
-@dataclass
-class SampleEntry:
-    clip_ref: str
-    q: float
-
-
-@dataclass
+@dataclass(eq=False)
 class SampleSet:
     source_id: str
-    entries: list[SampleEntry]
-    q: np.ndarray = field(init=False, repr=False, compare=False)  # entries' NSIM, in order
+    clip_refs: list[str]
+    q: np.ndarray  # each clip's NSIM, in clip_refs order
 
     def __post_init__(self):
-        self.q = np.array([e.q for e in self.entries], dtype=np.float64)
+        self.q = np.asarray(self.q, dtype=np.float64)
+        if self.q.shape != (len(self.clip_refs),):
+            raise ValueError(f"q has shape {self.q.shape}, expected ({len(self.clip_refs)},)")
 
 
 @dataclass
@@ -75,52 +72,50 @@ class SamplerConfig:
 def build_sample_sets(manifest: list[ManifestRow]) -> list[SampleSet]:
     """Group degraded manifest rows per source; clean rows are excluded from
     triplet pools. Sources with fewer than MIN_ENTRIES rows are skipped."""
-    by_source: dict[str, list[SampleEntry]] = {}
+    by_source: dict[str, tuple[list[str], list[float]]] = {}
     for row in by_clip_path(manifest, "manifest").values():
         if row.family == "clean":
             continue
-        by_source.setdefault(row.source_id, []).append(SampleEntry(row.clip_path, row.nsim))
+        refs, q = by_source.setdefault(row.source_id, ([], []))
+        refs.append(row.clip_path)
+        q.append(row.nsim)
     sets = []
     for source_id in sorted(by_source):
-        entries = by_source[source_id]
-        if len(entries) < MIN_ENTRIES:
+        refs, q = by_source[source_id]
+        if len(refs) < MIN_ENTRIES:
             logging.getLogger(__name__).warning(
-                "source %s has only %d degraded rows; skipped", source_id, len(entries)
+                "source %s has only %d degraded rows; skipped", source_id, len(refs)
             )
             continue
-        sets.append(SampleSet(source_id, entries))
+        sets.append(SampleSet(source_id, refs, q))
     return sets
 
 
-def _distances(sample_set: SampleSet, anchor_idx: int) -> np.ndarray:
-    """|q - q_anchor| per entry, with the anchor's own entry at +inf."""
+def distances(sample_set: SampleSet, anchor_idx: int) -> np.ndarray:
+    """|q - q_anchor| per clip, with the anchor's own entry at +inf."""
     q = sample_set.q
     d = np.abs(q - q[anchor_idx])
     d[anchor_idx] = np.inf
     return d
 
 
-def pick_positive(sample_set: SampleSet, anchor_idx: int) -> int:
-    """Index of the entry with NSIM closest to the anchor's; ties go to the
-    lower index."""
-    if len(sample_set.entries) < 2:
+def pick_positive(d: np.ndarray) -> int:
+    """Index of the smallest distance; ties go to the lower index."""
+    if len(d) < 2:
         raise TooFewEntriesError("sample set needs at least 2 entries")
-    return int(np.argmin(_distances(sample_set, anchor_idx)))
+    return int(np.argmin(d))
 
 
 def sample_easy_negative(
-    sample_set: SampleSet, anchor_idx: int, positive_idx: int, s: float,
-    rng: np.random.Generator,
+    d: np.ndarray, positive_idx: int, s: float, rng: np.random.Generator,
 ) -> int:
-    d = _distances(sample_set, anchor_idx)
     candidates = np.flatnonzero((d > d[positive_idx] + s) & (d < np.inf))
     if not len(candidates):
         raise EmptyNegativeSetError("no entry beyond the easy margin")
     return int(candidates[rng.integers(len(candidates))])
 
 
-def sample_hard_negative(sample_set: SampleSet, anchor_idx: int, positive_idx: int) -> int:
-    d = _distances(sample_set, anchor_idx)
+def sample_hard_negative(d: np.ndarray, positive_idx: int) -> int:
     beyond = np.flatnonzero((d > d[positive_idx]) & (d < np.inf))
     if not len(beyond):
         raise EmptyNegativeSetError("no entry strictly beyond the positive's distance")
@@ -139,21 +134,20 @@ def generate_triplets(sets: list[SampleSet], cfg: SamplerConfig, count: int) -> 
     for _ in range(count):
         for attempt in range(MAX_ATTEMPTS_PER_TRIPLET):
             st = sets[rng.integers(len(sets))]
-            anchor_idx = int(rng.integers(len(st.entries)))
+            anchor_idx = int(rng.integers(len(st.clip_refs)))
             strategy = "easy" if rng.random() < cfg.strategy_mix else "hard"
+            d = distances(st, anchor_idx)
             try:
-                positive_idx = pick_positive(st, anchor_idx)
+                positive_idx = pick_positive(d)
                 if strategy == "easy":
-                    negative_idx = sample_easy_negative(st, anchor_idx, positive_idx, cfg.s, rng)
+                    negative_idx = sample_easy_negative(d, positive_idx, cfg.s, rng)
                 else:
-                    negative_idx = sample_hard_negative(st, anchor_idx, positive_idx)
+                    negative_idx = sample_hard_negative(d, positive_idx)
             except (EmptyNegativeSetError, TooFewEntriesError):
                 continue
-            a, p, n = st.entries[anchor_idx], st.entries[positive_idx], st.entries[negative_idx]
-            records.append(
-                TripletRecord(st.source_id, a.clip_ref, p.clip_ref, n.clip_ref,
-                              a.q, p.q, n.q, strategy)
-            )
+            idx = (anchor_idx, positive_idx, negative_idx)
+            records.append(TripletRecord(st.source_id, *(st.clip_refs[i] for i in idx),
+                                         *(float(st.q[i]) for i in idx), strategy))
             break
         else:
             raise ExhaustedSamplerError(

@@ -39,10 +39,10 @@ from nomadlite.score import (
 )
 from nomadlite.train import TrainConfig, SpectrogramCache, fit
 from nomadlite.triplets import (
-    SampleEntry,
     SampleSet,
     SamplerConfig,
     build_sample_sets,
+    distances,
     generate_triplets,
     pick_positive,
     sample_easy_negative,
@@ -163,40 +163,40 @@ def test_2_nsim_monotonicity():
 def test_3_sampler_vs_brute_force():
     t0 = time.monotonic()
     # hand-worked example: anchor 0.80 among {0.78, 0.70, 0.83, 0.95}, s=0.05
-    hand = SampleSet("h", [SampleEntry(f"c{i}", q)
-                           for i, q in enumerate([0.80, 0.78, 0.70, 0.83, 0.95])])
-    ok = pick_positive(hand, 0) == 1
-    picks = {sample_easy_negative(hand, 0, 1, 0.05, np.random.default_rng(s))
+    hand = distances(SampleSet("h", [f"c{i}" for i in range(5)], [0.80, 0.78, 0.70, 0.83, 0.95]), 0)
+    ok = pick_positive(hand) == 1
+    picks = {sample_easy_negative(hand, 1, 0.05, np.random.default_rng(s))
              for s in range(50)}
-    ok = ok and picks == {2, 4} and sample_hard_negative(hand, 0, 1) == 3
+    ok = ok and picks == {2, 4} and sample_hard_negative(hand, 1) == 3
 
     mismatches = 0
     for seed in range(1000):
         rng = np.random.default_rng(seed)
-        entries = [SampleEntry(f"c{j}", float(rng.random()))
-                   for j in range(rng.integers(3, 13))]
-        st = SampleSet("s", entries)
-        anchor = int(rng.integers(len(entries)))
-        q_a = entries[anchor].q
-        d = [abs(e.q - q_a) for e in entries]
-        others = [i for i in range(len(entries)) if i != anchor]
+        n = rng.integers(3, 13)
+        q = [float(rng.random()) for j in range(n)]
+        st = SampleSet("s", [f"c{j}" for j in range(n)], q)
+        anchor = int(rng.integers(len(q)))
+        q_a = q[anchor]
+        d = [abs(x - q_a) for x in q]
+        others = [i for i in range(len(q)) if i != anchor]
         d_p = min(d[i] for i in others)
         exp_pos = [i for i in others if d[i] == d_p]
         exp_easy = [i for i in others if d[i] > d_p + 0.05]
         beyond = [i for i in others if d[i] > d_p]
         exp_hard = [i for i in beyond if d[i] == min(d[j] for j in beyond)] if beyond else []
 
-        p = pick_positive(st, anchor)
+        d_st = distances(st, anchor)
+        p = pick_positive(d_st)
         if p != exp_pos[0]:
             mismatches += 1
         try:
-            if sample_easy_negative(st, anchor, p, 0.05, rng) not in exp_easy:
+            if sample_easy_negative(d_st, p, 0.05, rng) not in exp_easy:
                 mismatches += 1
         except EmptyNegativeSetError:
             if exp_easy:
                 mismatches += 1
         try:
-            if sample_hard_negative(st, anchor, p) != exp_hard[0]:
+            if sample_hard_negative(d_st, p) != exp_hard[0]:
                 mismatches += 1
         except EmptyNegativeSetError:
             if exp_hard:

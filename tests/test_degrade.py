@@ -248,6 +248,17 @@ class TestApplyCondition:
         # 16-bit quantization is the only loss through the cp round-trip
         assert np.max(np.abs(out.samples - utterances[0].samples)) < 1 / 32768
 
+    def test_external_codec_workdir_with_space(self, utterances, tmp_path):
+        # each substituted temp path must stay one argument to the command
+        c = DegradationCondition.from_table("external_codec", 0)
+        workdir = tmp_path / "with space"
+        workdir.mkdir()
+        out = apply_condition(
+            utterances[0], c, seed=0, source_id="x",
+            external_codec_cmd="cp {in} {out}", workdir=workdir,
+        )
+        assert np.max(np.abs(out.samples - utterances[0].samples)) < 1 / 32768
+
     @pytest.mark.parametrize("family, level, message", [
         ("bogus", 0, "unknown family 'bogus', expected one of ['clip',"),
         ("clip", 5, "clip has levels 0-4, got 5"),

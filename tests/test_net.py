@@ -496,6 +496,19 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("init_seed", [-1, "x", True, 2.5])
+    def test_bad_init_seed_is_corrupt(self, tmp_path, init_seed):
+        # init_model would fail inside numpy on these, or take True as seed 1
+        header = {"format_version": 1, "config": {"bands": 2, "conv_channels": [4, 8], "kernel": 3,
+                                                  "stride": 2, "embed_dim": 8, "init_seed": init_seed},
+                  "param_count": 204}
+        header_bytes = json.dumps(header).encode("utf-8")
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes
+                         + np.zeros(204, dtype="<f4").tobytes())
+        with pytest.raises(CorruptCheckpointError, match="init_seed"):
+            load_checkpoint(path)
+
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"

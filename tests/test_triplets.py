@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from nomadlite import triplets
 from nomadlite.degrade import ManifestRow
 from nomadlite.errors import DataError, EmptyNegativeSetError, ExhaustedSamplerError, TooFewEntriesError
 from nomadlite.triplets import (
-    SampleEntry,
     SampleSet,
     SamplerConfig,
     build_sample_sets,
+    distances,
     generate_triplets,
     pick_positive,
     read_triplets,
@@ -18,12 +19,21 @@ from nomadlite.triplets import (
 )
 
 # the worked example: anchor 0.80, others {0.78, 0.70, 0.83, 0.95}
-HAND_SET = SampleSet("src", [SampleEntry(f"c{i}", q) for i, q in
-                             enumerate([0.80, 0.78, 0.70, 0.83, 0.95])])
+HAND_SET = SampleSet("src", [f"c{i}" for i in range(5)], [0.80, 0.78, 0.70, 0.83, 0.95])
 
 
 def row(source, family, level, q, path=None):
     return ManifestRow(path or f"{source}_{family}_{level}.wav", source, family, level, float(level), q)
+
+
+class TestSampleSet:
+    @pytest.mark.parametrize("q", [[0.5, 0.6], [0.5, 0.6, 0.7, 0.8], [[0.5, 0.6, 0.7]]])
+    def test_q_length_must_match_clip_refs(self, q):
+        with pytest.raises(ValueError, match="q has shape"):
+            SampleSet("s", ["a", "b", "c"], q)
+
+    def test_q_is_float64(self):
+        assert SampleSet("s", ["a", "b"], [1, 0]).q.dtype == np.float64
 
 
 class TestBuildSampleSets:
@@ -32,12 +42,12 @@ class TestBuildSampleSets:
                     for i in range(2) for fam in ("clip", "noise") for lvl in range(5)]
         sets = build_sample_sets(manifest)
         assert [s.source_id for s in sets] == ["s0", "s1"]
-        assert all(len(s.entries) == 10 for s in sets)
+        assert all(len(s.clip_refs) == 10 for s in sets)
 
     def test_clean_rows_excluded(self):
         manifest = [row("s0", "clean", 0, 1.0)] + [row("s0", "clip", lvl, 0.5) for lvl in range(5)]
         sets = build_sample_sets(manifest)
-        assert len(sets[0].entries) == 5
+        assert len(sets[0].clip_refs) == 5
 
     def test_small_source_skipped(self):
         manifest = [row("tiny", "clip", lvl, 0.5) for lvl in range(2)]
@@ -49,7 +59,7 @@ class TestBuildSampleSets:
         qs = [0.1234567890123, 0.5, 0.99999999]
         manifest = [row("s", "clip", i, q) for i, q in enumerate(qs)]
         sets = build_sample_sets(manifest)
-        assert [e.q for e in sets[0].entries] == qs
+        assert sets[0].q.tolist() == qs
 
     def test_repeated_clip_path_rejected(self):
         # two concatenated manifests: every anchor would find itself as its positive
@@ -60,66 +70,66 @@ class TestBuildSampleSets:
 
 class TestPickPositive:
     def test_hand_example(self):
-        assert pick_positive(HAND_SET, 0) == 1  # 0.78, |d|=0.02
+        assert pick_positive(distances(HAND_SET, 0)) == 1  # 0.78, |d|=0.02
 
     def test_duplicate_q_wins(self):
-        st = SampleSet("s", [SampleEntry("a", 0.8), SampleEntry("b", 0.7), SampleEntry("c", 0.8)])
-        assert pick_positive(st, 0) == 2
+        st = SampleSet("s", ["a", "b", "c"], [0.8, 0.7, 0.8])
+        assert pick_positive(distances(st, 0)) == 2
 
     def test_tie_breaks_to_lower_index(self):
-        st = SampleSet("s", [SampleEntry("a", 0.5), SampleEntry("b", 0.6), SampleEntry("c", 0.4)])
-        assert pick_positive(st, 0) == 1
+        st = SampleSet("s", ["a", "b", "c"], [0.5, 0.6, 0.4])
+        assert pick_positive(distances(st, 0)) == 1
 
 
 class TestEasyNegative:
     def test_hand_example_candidates(self):
         # with s=0.05 only 0.70 and 0.95 are admissible
         picks = {
-            sample_easy_negative(HAND_SET, 0, 1, 0.05, np.random.default_rng(seed))
+            sample_easy_negative(distances(HAND_SET, 0), 1, 0.05, np.random.default_rng(seed))
             for seed in range(50)
         }
         assert picks == {2, 4}
 
     def test_zero_margin_degenerates(self):
         picks = {
-            sample_easy_negative(HAND_SET, 0, 1, 0.0, np.random.default_rng(seed))
+            sample_easy_negative(distances(HAND_SET, 0), 1, 0.0, np.random.default_rng(seed))
             for seed in range(100)
         }
         assert picks == {2, 3, 4}  # everything farther than the positive
 
     def test_huge_margin_empties_set(self):
         with pytest.raises(EmptyNegativeSetError):
-            sample_easy_negative(HAND_SET, 0, 1, 0.5, np.random.default_rng(0))
+            sample_easy_negative(distances(HAND_SET, 0), 1, 0.5, np.random.default_rng(0))
 
 
 class TestHardNegative:
     def test_hand_example(self):
-        assert sample_hard_negative(HAND_SET, 0, 1) == 3  # 0.83, |d|=0.03
+        assert sample_hard_negative(distances(HAND_SET, 0), 1) == 3  # 0.83, |d|=0.03
 
     def test_three_entry_set(self):
-        st = SampleSet("s", [SampleEntry("a", 0.5), SampleEntry("b", 0.52), SampleEntry("c", 0.9)])
-        assert sample_hard_negative(st, 0, 1) == 2
+        st = SampleSet("s", ["a", "b", "c"], [0.5, 0.52, 0.9])
+        assert sample_hard_negative(distances(st, 0), 1) == 2
 
     def test_all_equal_distances(self):
-        st = SampleSet("s", [SampleEntry("a", 0.5), SampleEntry("b", 0.6), SampleEntry("c", 0.6)])
+        st = SampleSet("s", ["a", "b", "c"], [0.5, 0.6, 0.6])
         with pytest.raises(EmptyNegativeSetError):
-            sample_hard_negative(st, 0, 1)
+            sample_hard_negative(distances(st, 0), 1)
 
 
 def random_sets(rng, n_sets=4, max_entries=12):
     sets = []
     for i in range(n_sets):
         n = rng.integers(3, max_entries + 1)
-        sets.append(SampleSet(f"s{i}", [SampleEntry(f"s{i}_c{j}", float(rng.random()))
-                                        for j in range(n)]))
+        sets.append(SampleSet(f"s{i}", [f"s{i}_c{j}" for j in range(n)],
+                              [float(rng.random()) for j in range(n)]))
     return sets
 
 
-def oracle_candidates(entries, anchor_idx, s):
+def oracle_candidates(q, anchor_idx, s):
     """Exhaustive enumeration of the positive and both negative candidate sets."""
-    q_a = entries[anchor_idx].q
-    d = [abs(e.q - q_a) for e in entries]
-    others = [i for i in range(len(entries)) if i != anchor_idx]
+    q_a = q[anchor_idx]
+    d = [abs(x - q_a) for x in q]
+    others = [i for i in range(len(q)) if i != anchor_idx]
     d_p = min(d[i] for i in others)
     positives = [i for i in others if d[i] == d_p]
     easy = [i for i in others if d[i] > d_p + s]
@@ -130,13 +140,13 @@ def oracle_candidates(entries, anchor_idx, s):
 
 # The scan-loop sampler rules that the array versions replaced, kept as references.
 def loop_pick_positive(sample_set, anchor_idx):
-    q_a = sample_set.entries[anchor_idx].q
+    q_a = sample_set.q[anchor_idx]
     best = None
     best_d = None
-    for i, e in enumerate(sample_set.entries):
+    for i, q in enumerate(sample_set.q):
         if i == anchor_idx:
             continue
-        d = abs(e.q - q_a)
+        d = abs(q - q_a)
         if best_d is None or d < best_d:
             best, best_d = i, d
     if best is None:
@@ -145,8 +155,8 @@ def loop_pick_positive(sample_set, anchor_idx):
 
 
 def loop_distances(sample_set, anchor_idx):
-    q_a = sample_set.entries[anchor_idx].q
-    return np.array([abs(e.q - q_a) for e in sample_set.entries])
+    q_a = sample_set.q[anchor_idx]
+    return np.array([abs(q - q_a) for q in sample_set.q])
 
 
 def loop_easy_negative(sample_set, anchor_idx, positive_idx, s, rng):
@@ -189,18 +199,19 @@ class TestLoopReferences:
         grid = [0.1, 0.3, 0.5, 0.7, 0.9]
         rng = np.random.default_rng(int(s * 100))
         for trial in range(400):
-            st = SampleSet("s", [SampleEntry(f"c{j}", grid[rng.integers(5)])
-                                 for j in range(rng.integers(1, 13))])
-            anchor = int(rng.integers(len(st.entries)))
-            p = outcome(pick_positive, st, anchor)
+            n = rng.integers(1, 13)
+            st = SampleSet("s", [f"c{j}" for j in range(n)], [grid[rng.integers(5)] for j in range(n)])
+            anchor = int(rng.integers(len(st.clip_refs)))
+            d = distances(st, anchor)
+            p = outcome(pick_positive, d)
             assert p == outcome(loop_pick_positive, st, anchor)
             if p is TooFewEntriesError:
                 continue
-            assert outcome(sample_hard_negative, st, anchor, p) == \
+            assert outcome(sample_hard_negative, d, p) == \
                 outcome(loop_hard_negative, st, anchor, p)
             ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
             for _ in range(3):
-                assert outcome(sample_easy_negative, st, anchor, p, s, ours) == \
+                assert outcome(sample_easy_negative, d, p, s, ours) == \
                     outcome(loop_easy_negative, st, anchor, p, s, theirs)
                 assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -233,7 +244,7 @@ class TestGenerateTriplets:
         assert len(records) == 300
         for r in records:
             st = by_id[r.source_id]
-            refs = {e.clip_ref for e in st.entries}
+            refs = set(st.clip_refs)
             assert {r.anchor_ref, r.positive_ref, r.negative_ref} <= refs
             assert abs(r.q_p - r.q_a) <= abs(r.q_n - r.q_a)
             if r.strategy == "easy":
@@ -247,32 +258,52 @@ class TestGenerateTriplets:
 
     def test_exhausted_sampler(self):
         # all entries share one q value: no negative can ever exist
-        st = SampleSet("s", [SampleEntry(f"c{i}", 0.5) for i in range(5)])
+        st = SampleSet("s", [f"c{i}" for i in range(5)], [0.5] * 5)
         with pytest.raises(ExhaustedSamplerError):
             generate_triplets([st], SamplerConfig(rng_seed=0), 10)
+
+    def test_distances_built_once_per_attempt(self, monkeypatch):
+        calls, real = [], triplets.distances
+
+        def counting_distances(sample_set, anchor_idx):
+            calls.append(anchor_idx)
+            return real(sample_set, anchor_idx)
+
+        monkeypatch.setattr(triplets, "distances", counting_distances)
+        # every hard attempt succeeds here: all anchors have distinct distances to the others
+        ok = SampleSet("s", ["a", "b", "c", "d"], [0.1, 0.2, 0.4, 0.8])
+        generate_triplets([ok], SamplerConfig(strategy_mix=0.0, rng_seed=0), 50)
+        assert len(calls) == 50
+        # every attempt fails here, so the sampler gives up after its attempt budget
+        calls.clear()
+        flat = SampleSet("s", [f"c{i}" for i in range(5)], [0.5] * 5)
+        with pytest.raises(ExhaustedSamplerError):
+            generate_triplets([flat], SamplerConfig(rng_seed=0), 1)
+        assert len(calls) == triplets.MAX_ATTEMPTS_PER_TRIPLET
 
     def test_sampler_matches_oracle(self):
         # randomized small sets: sampler picks always lie in the enumerated
         # candidate sets
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            entries = [SampleEntry(f"c{j}", float(rng.random()))
-                       for j in range(rng.integers(3, 13))]
-            st = SampleSet("s", entries)
-            anchor = int(rng.integers(len(entries)))
-            positives, easy, hard = oracle_candidates(entries, anchor, 0.05)
-            p = pick_positive(st, anchor)
+            n = rng.integers(3, 13)
+            q = [float(rng.random()) for j in range(n)]
+            st = SampleSet("s", [f"c{j}" for j in range(n)], q)
+            anchor = int(rng.integers(len(q)))
+            positives, easy, hard = oracle_candidates(q, anchor, 0.05)
+            d = distances(st, anchor)
+            p = pick_positive(d)
             assert p == positives[0]  # lowest-index tie break
             if easy:
-                assert sample_easy_negative(st, anchor, p, 0.05, rng) in easy
+                assert sample_easy_negative(d, p, 0.05, rng) in easy
             else:
                 with pytest.raises(EmptyNegativeSetError):
-                    sample_easy_negative(st, anchor, p, 0.05, rng)
+                    sample_easy_negative(d, p, 0.05, rng)
             if hard:
-                assert sample_hard_negative(st, anchor, p) == hard[0]
+                assert sample_hard_negative(d, p) == hard[0]
             else:
                 with pytest.raises(EmptyNegativeSetError):
-                    sample_hard_negative(st, anchor, p)
+                    sample_hard_negative(d, p)
 
 
 class TestSplitAndIo:
