@@ -7,7 +7,7 @@ feature-loss. Exit codes: 0 success, 1 input/usage error, 2 internal error.
 import argparse
 import logging
 import sys
-from dataclasses import astuple
+from dataclasses import make_dataclass
 from pathlib import Path
 
 from . import degrade, evaluate, score as scoring, train as training, triplets as tri
@@ -15,13 +15,14 @@ from .audio_core import load_wav, wav_files
 from .errors import NomadError
 from .net import load_checkpoint, save_checkpoint
 from .nsim import utterance_nsim
-from .table import write_table
+from .table import column, write_table
 
 log = logging.getLogger("nomadlite")
 
-RANK_COLUMNS = (("family", str, ""), ("spearman", str, ""))
-# eval-mos prints the per-condition table with 6 decimals instead of 12
-MOS_STDOUT_COLUMNS = [(n, t, ".6f" if t is float else f) for n, t, f in evaluate.CONDITION_COLUMNS]
+RankRow = make_dataclass("RankRow", [("family", str), ("spearman", str)])
+# eval-mos prints evaluate.ConditionRow with 6 decimals instead of 12
+StdoutConditionRow = make_dataclass("StdoutConditionRow", [
+    ("condition_id", str), ("mean_score", float, column(".6f")), ("mean_mos", float, column(".6f"))])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,9 +224,9 @@ def _cmd_eval_mos(args) -> int:
         scoring.read_scores(args.scores), evaluate.read_mos(args.mos)
     )
     print(f"conditions: {report.n_conditions}  PC: {report.pc:+.4f}  SC: {report.sc:+.4f}")
-    write_table(sys.stdout, MOS_STDOUT_COLUMNS, map(astuple, report.per_condition))
+    write_table(sys.stdout, StdoutConditionRow, report.per_condition)
     if args.out:
-        write_table(args.out, evaluate.CONDITION_COLUMNS, map(astuple, report.per_condition))
+        write_table(args.out, evaluate.ConditionRow, report.per_condition)
     return 0
 
 
@@ -233,10 +234,10 @@ def _cmd_eval_rank(args) -> int:
     result = evaluate.monotonicity_report(
         scoring.read_scores(args.scores), degrade.read_manifest(args.manifest)
     )
-    rows = [(family, "undefined" if sc is None else f"{sc:+.4f}") for family, sc in result.items()]
-    write_table(sys.stdout, RANK_COLUMNS, rows)
+    rows = [RankRow(family, "undefined" if sc is None else f"{sc:+.4f}") for family, sc in result.items()]
+    write_table(sys.stdout, RankRow, rows)
     if args.out:
-        write_table(args.out, RANK_COLUMNS, rows)
+        write_table(args.out, RankRow, rows)
     return 0
 
 

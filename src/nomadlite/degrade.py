@@ -12,7 +12,7 @@ import math
 import shlex
 import subprocess
 import tempfile
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +29,9 @@ from .errors import (
     UnsupportedBitrateError,
 )
 from .nsim import utterance_nsim
-from .table import read_table, write_table
+from .table import column, read_table, write_table
 
 log = logging.getLogger(__name__)
-
-MANIFEST_COLUMNS = (
-    ("clip_path", str, ""), ("source_id", str, ""), ("family", str, ""),
-    ("level_index", int, ""), ("level_param", float, ".6g"), ("nsim", float, ".17g"),
-)
 
 # level tables; index 0 is the mildest-numbered entry of each published table
 LEVEL_TABLES = {
@@ -74,8 +69,8 @@ class ManifestRow:
     source_id: str
     family: str
     level_index: int
-    level_param: float
-    nsim: float
+    level_param: float = column(".6g")
+    nsim: float = column(".17g")
 
 
 def clip_signal(w: Waveform, percent: float) -> Waveform:
@@ -226,17 +221,29 @@ def apply_condition(
     raise ValueError(f"unknown degradation family {c.family!r}")
 
 
-def _run_external_codec(w: Waveform, kbps: float, cmd_template: str | None, workdir: Path | None) -> Waveform:
+def _external_codec_argv(cmd_template: str | None, in_path, out_path, kbps: float) -> list[str]:
+    """The one reader of the codec template: it is split like a shell line, then
+    ``{in}``, ``{out}`` and ``{kbps}`` are put into each token, so a path with
+    spaces stays one argument."""
     if not cmd_template:
         raise MissingEncoderError("no external codec command configured")
+    fields = {"in": str(in_path), "out": str(out_path), "kbps": int(kbps)}
+    try:
+        return [token.format(**fields) for token in shlex.split(cmd_template)]
+    except KeyError as e:
+        raise NomadError(f"external codec command {cmd_template!r} has unknown placeholder "
+                         f"{{{e.args[0]}}}, expected {{in}}, {{out}} or {{kbps}}") from e
+    except (ValueError, IndexError, AttributeError, TypeError) as e:
+        raise NomadError(f"bad external codec command {cmd_template!r}: {e}") from e
+
+
+def _run_external_codec(w: Waveform, kbps: float, cmd_template: str | None, workdir: Path | None) -> Waveform:
     workdir = Path(workdir) if workdir else Path.cwd()
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
         in_path = Path(tmp) / "in.wav"
         out_path = Path(tmp) / "out.wav"
+        cmd = _external_codec_argv(cmd_template, in_path, out_path, kbps)
         save_wav(w, in_path)
-        # split before substituting, so a path with spaces stays one argument
-        fields = {"in": str(in_path), "out": str(out_path), "kbps": int(kbps)}
-        cmd = [token.format(**fields) for token in shlex.split(cmd_template)]
         try:
             proc = subprocess.run(cmd, capture_output=True)
         except FileNotFoundError as e:
@@ -275,14 +282,17 @@ def synth_dataset(
     counterpart, and write ``manifest.csv`` plus all WAVs under out_dir.
 
     Per-file failures are skipped with a warning; an empty result is an error.
-    Repeated or unknown families, an unknown noise kind or a clean_dir without
-    WAV files are rejected before anything is written.
+    Repeated or unknown families, an unknown noise kind, a missing or malformed
+    external codec template (when that family is asked for) or a clean_dir
+    without WAV files are rejected before anything is written.
     """
     _check_positive_int("jobs", jobs)
     if not families or len(LEVEL_TABLES.keys() & set(families)) < len(families):
         raise NomadError(f"families must be distinct names from {sorted(LEVEL_TABLES)}, "
                          f"got {list(families)}")
     _noise_generator(noise_kind)
+    if "external_codec" in families:
+        _external_codec_argv(external_codec_cmd, "in.wav", "out.wav", LEVEL_TABLES["external_codec"][0])
     sources = wav_files(clean_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -336,8 +346,8 @@ def synth_dataset(
 
 
 def write_manifest(rows: list[ManifestRow], path) -> None:
-    write_table(path, MANIFEST_COLUMNS, map(astuple, rows))
+    write_table(path, ManifestRow, rows)
 
 
 def read_manifest(path) -> list[ManifestRow]:
-    return [ManifestRow(*rec) for rec in read_table(path, MANIFEST_COLUMNS)]
+    return read_table(path, ManifestRow)

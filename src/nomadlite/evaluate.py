@@ -9,14 +9,9 @@ import numpy as np
 from .degrade import ManifestRow
 from .errors import DegenerateInputError, JoinEmptyError
 from .score import ScoreRow
-from .table import by_clip_path, read_table
+from .table import by_clip_path, column, read_table
 
 log = logging.getLogger(__name__)
-
-MOS_COLUMNS = (("clip_path", str, ""), ("condition_id", str, ""), ("mos", float, ""))
-CONDITION_COLUMNS = (
-    ("condition_id", str, ""), ("mean_score", float, ".12f"), ("mean_mos", float, ".12f"),
-)
 
 
 @dataclass
@@ -29,8 +24,8 @@ class MosRecord:
 @dataclass
 class ConditionRow:
     condition_id: str
-    mean_score: float
-    mean_mos: float
+    mean_score: float = column(".12f")
+    mean_mos: float = column(".12f")
 
 
 @dataclass
@@ -73,7 +68,7 @@ def spearman(x, y) -> float:
 
 
 def read_mos(path) -> list[MosRecord]:
-    return [MosRecord(*rec) for rec in read_table(path, MOS_COLUMNS)]
+    return read_table(path, MosRecord)
 
 
 def aggregate_per_condition(scores: list[ScoreRow], mos: list[MosRecord]) -> EvalReport:

@@ -1,17 +1,13 @@
 """Embedding-distance scoring against matching or non-matching references."""
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audio_core import Waveform, log_band_spectrogram
 from .errors import EmptyPoolError
 from .net import EmbeddingModel, embed, embed_batch, feature_loss_spec
-from .table import read_table, write_table
-
-SCORE_COLUMNS = (
-    ("clip_path", str, ""), ("nomad", float, ".12f"), ("mode", str, ""), ("pool_id", str, ""),
-)
+from .table import column, read_table, write_table
 
 
 def _embed_wav(model: EmbeddingModel, w: Waveform) -> np.ndarray:
@@ -69,14 +65,14 @@ def feature_loss(model: EmbeddingModel, clean: Waveform, estimate: Waveform):
 @dataclass
 class ScoreRow:
     clip_path: str
-    nomad: float
+    nomad: float = column(".12f")
     mode: str      # "nmr" or "fr"
     pool_id: str   # pool name, or the reference path in fr mode
 
 
 def write_scores(rows: list[ScoreRow], path) -> None:
-    write_table(path, SCORE_COLUMNS, map(astuple, rows))
+    write_table(path, ScoreRow, rows)
 
 
 def read_scores(path) -> list[ScoreRow]:
-    return [ScoreRow(*rec) for rec in read_table(path, SCORE_COLUMNS)]
+    return read_table(path, ScoreRow)

@@ -19,7 +19,7 @@ from .net import (
     loss_and_gradients,
     triplet_loss,
 )
-from .table import write_table
+from .table import column, write_table
 from .triplets import TripletRecord
 
 log = logging.getLogger(__name__)
@@ -29,10 +29,6 @@ log = logging.getLogger(__name__)
 LR_DECAY = 0.9
 DECAY_INTERVAL = 20
 
-REPORT_COLUMNS = (
-    ("epoch", int, ""), ("train_loss", float, ".12f"), ("val_loss", float, ".12f"),
-    ("lr", float, ".12g"),
-)
 
 
 @dataclass
@@ -57,15 +53,23 @@ class TrainConfig:
 
 
 @dataclass
+class EpochRow:
+    epoch: int
+    train_loss: float = column(".12f")
+    val_loss: float = column(".12f")
+    lr: float = column(".12g")
+
+
+@dataclass
 class TrainReport:
-    epochs: list = field(default_factory=list)  # (epoch, train_loss, val_loss, lr)
+    epochs: list[EpochRow] = field(default_factory=list)
     best_epoch: int = -1
     best_val_loss: float = float("inf")
     initial_val_loss: float = float("nan")
     wall_time_s: float = 0.0
 
     def write_csv(self, path) -> None:
-        write_table(path, REPORT_COLUMNS, self.epochs)
+        write_table(path, EpochRow, self.epochs)
 
 
 class SpectrogramCache:
@@ -80,7 +84,7 @@ class SpectrogramCache:
         return self._cache[path]
 
     def triple(self, r: TripletRecord):
-        return (self.get(r.anchor_ref), self.get(r.positive_ref), self.get(r.negative_ref))
+        return (self.get(r.anchor_path), self.get(r.positive_path), self.get(r.negative_path))
 
 
 def _sgd_step(model: EmbeddingModel, grad: np.ndarray, lr: float) -> None:
@@ -151,7 +155,7 @@ def fit(
     for epoch in range(1, cfg.max_epochs + 1):
         train_loss = train_epoch(model, train_triples, cfg, rng, lr=lr)
         val_loss = validate(model, val_triples, cfg.margin)
-        report.epochs.append((epoch, train_loss, val_loss, lr))
+        report.epochs.append(EpochRow(epoch, train_loss, val_loss, lr))
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch

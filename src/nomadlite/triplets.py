@@ -8,7 +8,7 @@ Each rule reads only the anchor's distance vector from ``distances``.
 """
 
 import logging
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,8 @@ from .errors import (
     ExhaustedSamplerError,
     TooFewEntriesError,
 )
-from .table import by_clip_path, read_table, write_table
+from .table import by_clip_path, column, read_table, write_table
 
-TRIPLET_COLUMNS = (
-    ("source_id", str, ""), ("anchor_path", str, ""), ("positive_path", str, ""),
-    ("negative_path", str, ""), ("q_a", float, ".17g"), ("q_p", float, ".17g"),
-    ("q_n", float, ".17g"), ("strategy", str, ""),
-)
 MIN_ENTRIES = 3  # degraded rows a source needs to form triplets
 MAX_ATTEMPTS_PER_TRIPLET = 100
 
@@ -46,12 +41,12 @@ class SampleSet:
 @dataclass
 class TripletRecord:
     source_id: str
-    anchor_ref: str
-    positive_ref: str
-    negative_ref: str
-    q_a: float
-    q_p: float
-    q_n: float
+    anchor_path: str
+    positive_path: str
+    negative_path: str
+    q_a: float = column(".17g")
+    q_p: float = column(".17g")
+    q_n: float = column(".17g")
     strategy: str
 
 
@@ -176,8 +171,8 @@ def split_by_source(
 
 
 def write_triplets(records: list[TripletRecord], path) -> None:
-    write_table(path, TRIPLET_COLUMNS, map(astuple, records))
+    write_table(path, TripletRecord, records)
 
 
 def read_triplets(path) -> list[TripletRecord]:
-    return [TripletRecord(*rec) for rec in read_table(path, TRIPLET_COLUMNS)]
+    return read_table(path, TripletRecord)

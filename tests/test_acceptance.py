@@ -65,30 +65,31 @@ N_SOURCES = 20
 SEED = 7
 
 
-@pytest.fixture(scope="session")
-def desk(tmp_path_factory):
-    root = tmp_path_factory.mktemp("desk")
+def run_desk(root, seed: int) -> dict:
+    """The desk-scale pipeline of criteria 5-7 under ``root`` at one seed:
+    synth, triplets, training, and pool A, pool B and full-reference scores
+    of the held-out sources' degraded clips."""
     clean = root / "clean"
     clean.mkdir()
     for i in range(N_SOURCES):
         save_wav(make_utterance(seed=i, duration_s=3.0), clean / f"s{i:02d}.wav")
 
     data = root / "data"
-    rows = synth_dataset(clean, data, seed=SEED)
+    rows = synth_dataset(clean, data, seed=seed)
 
     sets = build_sample_sets(rows)
     # easy-heavy mix: hard negatives sit just beyond the positive in NSIM,
     # so their hinge has an irreducible floor near the margin
     records = generate_triplets(sets, SamplerConfig(s=0.05, strategy_mix=0.8,
-                                                    rng_seed=SEED), 800)
-    train_recs, val_recs = split_by_source(records, 0.8, rng_seed=SEED)
+                                                    rng_seed=seed), 800)
+    train_recs, val_recs = split_by_source(records, 0.8, rng_seed=seed)
 
     cache = SpectrogramCache()
     cfg = TrainConfig(margin=0.2, batch_size=8, lr=1e-3, patience=40,
-                      max_epochs=40, seed=SEED)
+                      max_epochs=40, seed=seed)
     t0 = time.monotonic()
     model, train_report = fit(train_recs, val_recs, cfg,
-                              EncoderConfig(init_seed=SEED), cache)
+                              EncoderConfig(init_seed=seed), cache)
     train_time = time.monotonic() - t0
 
     val_sources = sorted({r.source_id for r in val_recs})
@@ -108,9 +109,54 @@ def desk(tmp_path_factory):
 
     return {
         "root": root, "rows": rows, "model": model, "report": train_report,
-        "train_time": train_time, "held": held,
+        "train_time": train_time, "held": held, "pool_a": pool_a, "pool_b": pool_b,
         "scores_a": scores_a, "scores_b": scores_b, "scores_fr": scores_fr,
     }
+
+
+@pytest.fixture(scope="session")
+def desk(tmp_path_factory):
+    return run_desk(tmp_path_factory.mktemp("desk"), SEED)
+
+
+# the values criteria 5-7 measure, shared with tests/acceptance_sweep.py
+
+def val_loss_ratio(desk) -> float:
+    r = desk["report"]
+    return r.best_val_loss / r.initial_val_loss
+
+
+def family_spearman(desk) -> dict:
+    """Each family's Spearman of held-out pool-A score against level parameter."""
+    held, scores = desk["held"], desk["scores_a"]
+    sc = {}
+    for family in sorted({r.family for r in held}):
+        pairs = [(r.level_param, scores[r.clip_path])
+                 for r in held if r.family == family]
+        sc[family] = spearman([p[0] for p in pairs], [p[1] for p in pairs])
+    return sc
+
+
+def pool_differences(desk) -> dict:
+    """Each held-out clip's |pool A score - pool B score|."""
+    a, b = desk["scores_a"], desk["scores_b"]
+    return {k: abs(a[k] - b[k]) for k in a}
+
+
+def score_range(desk) -> float:
+    vals = np.array(list(desk["scores_a"].values()))
+    return vals.max() - vals.min()
+
+
+def fr_nmr_spearman(desk) -> float:
+    """Spearman of full-reference against pool-A condition means."""
+    a, fr = desk["scores_a"], desk["scores_fr"]
+    conds = {}
+    for r in desk["held"]:
+        conds.setdefault((r.family, r.level_index), []).append(r.clip_path)
+    fr_means = [np.mean([fr[k] for k in ks]) for _, ks in sorted(conds.items())]
+    nmr_means = [np.mean([a[k] for k in ks]) for _, ks in sorted(conds.items())]
+    return spearman(fr_means, nmr_means)
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +306,14 @@ def test_4_gradient_gate():
 
 def test_5_end_to_end_training(desk):
     r = desk["report"]
-    ratio = r.best_val_loss / r.initial_val_loss
+    ratio = val_loss_ratio(desk)
     report(5, ratio < 0.5 and desk["train_time"] < 1800,
            f"best val {r.best_val_loss:.4f} vs epoch-0 {r.initial_val_loss:.4f} "
            f"(ratio {ratio:.3f}), trained in {desk['train_time']:.0f}s")
 
 
 def test_6_learned_metric_monotonicity(desk):
-    held, scores = desk["held"], desk["scores_a"]
-    sc = {}
-    for family in sorted({r.family for r in held}):
-        pairs = [(r.level_param, scores[r.clip_path])
-                 for r in held if r.family == family]
-        sc[family] = spearman([p[0] for p in pairs], [p[1] for p in pairs])
+    sc = family_spearman(desk)
     others = [f for f in sc if f not in ("noise", "clip")]
     ok = abs(sc["noise"]) >= 0.8 and any(abs(sc[f]) >= 0.8 for f in others)
     detail = ", ".join(f"{f}: {v:+.3f}" for f, v in sc.items())
@@ -281,21 +322,13 @@ def test_6_learned_metric_monotonicity(desk):
 
 
 def test_7_reference_invariance(desk):
-    a, b, fr = desk["scores_a"], desk["scores_b"], desk["scores_fr"]
-    vals = np.array(list(a.values()))
-    score_range = vals.max() - vals.min()
-    max_diff = max(abs(a[k] - b[k]) for k in a)
-    ratio = max_diff / score_range
-
-    conds = {}
-    for r in desk["held"]:
-        conds.setdefault((r.family, r.level_index), []).append(r.clip_path)
-    fr_means = [np.mean([fr[k] for k in ks]) for _, ks in sorted(conds.items())]
-    nmr_means = [np.mean([a[k] for k in ks]) for _, ks in sorted(conds.items())]
-    sc = spearman(fr_means, nmr_means)
+    spread = score_range(desk)
+    max_diff = max(pool_differences(desk).values())
+    ratio = max_diff / spread
+    sc = fr_nmr_spearman(desk)
     report(7, ratio < 0.10 and sc >= 0.9,
            f"disjoint-pool per-clip diff {max_diff:.4f} = {100 * ratio:.1f}% of "
-           f"range {score_range:.4f}; FR-vs-NMR condition Spearman {sc:+.3f}")
+           f"range {spread:.4f}; FR-vs-NMR condition Spearman {sc:+.3f}")
 
 
 def test_8_correlation_fixtures():

@@ -491,6 +491,27 @@ class TestPipeline:
         assert "families must be distinct names from" in err and "codec_proxy_mp3like" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("families, template, message", [
+        ("clip,external_codec", "cp {input} {out}", "unknown placeholder {input}"),
+        ("clip,external_codec", None, "no external codec command configured"),
+        ("external_codec", "cp {input} {out}", "unknown placeholder {input}"),
+        ("external_codec", 'cp "{in} {out}', "No closing quotation"),
+        ("external_codec", None, "no external codec command configured"),
+    ], ids=["mixed-unknown-placeholder", "mixed-no-template", "unknown-placeholder",
+            "unclosed-quote", "no-template"])
+    def test_synth_bad_codec_template_exits_one_before_writing(self, pipeline, tmp_path, capsys,
+                                                               families, template, message):
+        # the template used to be read per clip under skip-and-log: a mixed run exited 0
+        # without the codec rows, and a codec-only run exited 1 after writing the clean WAVs
+        root, clean, data, ckpt = pipeline
+        out = tmp_path / "out"
+        args = ["--quiet", "synth", "--clean-dir", str(clean), "--out", str(out), "--families", families]
+        if template is not None:
+            args += ["--external-codec-cmd", template]
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synth_unknown_noise_kind_from_config_exits_one(self, pipeline, tmp_path, capsys):
         # argparse checks choices on the command line only, not on config-file defaults
         root, clean, data, ckpt = pipeline

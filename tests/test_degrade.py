@@ -239,6 +239,19 @@ class TestApplyCondition:
                             external_codec_cmd=f"{tmp_path / 'no-such-encoder'} {{in}} {{out}}",
                             workdir=tmp_path)
 
+    @pytest.mark.parametrize("template, message", [
+        ("cp {input} {out}", "unknown placeholder {input}"),
+        ('cp "{in} {out}', "No closing quotation"),
+        ("cp {} {out}", "bad external codec command"),
+        ("cp {in.stem} {out}", "bad external codec command"),
+        ("cp {kbps[0]} {out}", "bad external codec command"),
+    ])
+    def test_external_codec_bad_template(self, utterances, tmp_path, template, message):
+        c = DegradationCondition.from_table("external_codec", 0)
+        with pytest.raises(NomadError, match=message):
+            apply_condition(utterances[0], c, seed=0, source_id="x",
+                            external_codec_cmd=template, workdir=tmp_path)
+
     def test_external_codec_passthrough(self, utterances, tmp_path):
         c = DegradationCondition.from_table("external_codec", 0)
         out = apply_condition(
@@ -346,6 +359,19 @@ class TestSynthDataset:
         with pytest.raises(NomadError) as e:
             synth_dataset(corpus, out, seed=0, families=families, noise_kind=noise_kind)
         assert bad in str(e.value) and allowed in str(e.value)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("template, error, message", [
+        (None, MissingEncoderError, "no external codec command configured"),
+        ("cp {input} {out}", NomadError, "unknown placeholder {input}"),
+        ('cp "{in} {out}', NomadError, "No closing quotation"),
+    ])
+    def test_bad_codec_template_rejected_before_writing(self, corpus, tmp_path, template, error,
+                                                        message):
+        out = tmp_path / "out"
+        with pytest.raises(error, match=message):
+            synth_dataset(corpus, out, seed=0, families=["clip", "external_codec"],
+                          external_codec_cmd=template)
         assert not out.exists()
 
     def test_manifest_count_law(self, corpus, tmp_path):

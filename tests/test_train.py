@@ -5,6 +5,7 @@ from nomadlite.audio_core import Spectrogram
 from nomadlite.errors import DataError
 from nomadlite.net import EncoderConfig, init_model, triplet_loss
 from nomadlite.train import (
+    EpochRow,
     SpectrogramCache,
     TrainConfig,
     TrainReport,
@@ -190,7 +191,7 @@ class TestFit:
         cfg = TrainConfig(margin=1.0, lr=1e-2, max_epochs=10, patience=50)
         model, report = fit(train, val, cfg, TINY, cache)
         assert len(report.epochs) == 10
-        recorded_best = min([report.initial_val_loss] + [e[2] for e in report.epochs])
+        recorded_best = min([report.initial_val_loss] + [e.val_loss for e in report.epochs])
         assert report.best_val_loss == recorded_best
         # re-evaluating the returned model reproduces the recorded best value
         val_triples = [cache.triple(r) for r in val]
@@ -211,14 +212,14 @@ class TestFit:
         # params never move, val never improves, and lr takes one x0.9 step
         # per 20 epochs without improvement
         records, mapping = make_records(["s0", "s1", "s2"], 3, seed=3)
-        records = [TripletRecord(r.source_id, r.anchor_ref, r.anchor_ref,
-                                 r.negative_ref, 0.8, 0.8, 0.5, "easy")
+        records = [TripletRecord(r.source_id, r.anchor_path, r.anchor_path,
+                                 r.negative_path, 0.8, 0.8, 0.5, "easy")
                    for r in records]
         train = [r for r in records if r.source_id != "s2"]
         val = [r for r in records if r.source_id == "s2"]
         cfg = TrainConfig(lr=1.0, patience=100, max_epochs=60, margin=0.0)
         _, report = fit(train, val, cfg, TINY, StubCache(mapping))
-        lrs = [e[3] for e in report.epochs]
+        lrs = [e.lr for e in report.epochs]
         assert lrs == [1.0] * 20 + [0.9] * 20 + [pytest.approx(0.81)] * 20
 
     def test_patience_stops_early(self):
@@ -232,7 +233,7 @@ class TestFit:
 
 class TestReportCsv:
     def test_roundtrip_format(self, tmp_path):
-        report = TrainReport(epochs=[(1, 0.5, 0.6, 1e-3), (2, 0.4, 0.55, 1e-3)])
+        report = TrainReport(epochs=[EpochRow(1, 0.5, 0.6, 1e-3), EpochRow(2, 0.4, 0.55, 1e-3)])
         path = tmp_path / "r.csv"
         report.write_csv(path)
         lines = path.read_text().splitlines()

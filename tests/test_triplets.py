@@ -245,7 +245,7 @@ class TestGenerateTriplets:
         for r in records:
             st = by_id[r.source_id]
             refs = set(st.clip_refs)
-            assert {r.anchor_ref, r.positive_ref, r.negative_ref} <= refs
+            assert {r.anchor_path, r.positive_path, r.negative_path} <= refs
             assert abs(r.q_p - r.q_a) <= abs(r.q_n - r.q_a)
             if r.strategy == "easy":
                 assert abs(r.q_n - r.q_a) > abs(r.q_p - r.q_a) + 0.05 - 1e-12
