@@ -90,6 +90,7 @@ def build_parser() -> _Parser:
     parser._sub_choices = sub.choices  # kept for config-file default injection
 
     p = sub.add_parser("synth", help="synthesize the degraded dataset and manifest")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--clean-dir", required=True, help="directory of clean mono 16-bit WAVs")
     p.add_argument("--out", required=True, help="output directory (WAVs + manifest.csv)")
     p.add_argument("--families", default=",".join(degrade.DEFAULT_FAMILIES),
@@ -101,10 +102,12 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1, help="parallel sources (default %(default)s)")
 
     p = sub.add_parser("nsim", help="print the utterance NSIM of two files")
+    p.set_defaults(run=_cmd_nsim)
     p.add_argument("--ref", required=True)
     p.add_argument("--deg", required=True)
 
     p = sub.add_parser("triplets", help="sample triplets from a manifest and split by source")
+    p.set_defaults(run=_cmd_triplets)
     p.add_argument("--manifest", required=True)
     p.add_argument("--count", type=int, default=8000, help="triplets to draw (default %(default)s)")
     p.add_argument("--s", type=float, default=tri.SamplerConfig.s,
@@ -115,6 +118,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory for triplets_{train,val}.csv")
 
     p = sub.add_parser("train", help="train the embedding network on triplet files")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--triplets", required=True, help="training triplet CSV")
     p.add_argument("--val", required=True, help="validation triplet CSV")
     p.add_argument("--margin", type=float, default=training.TrainConfig.margin)
@@ -125,6 +129,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="checkpoint path (report CSV written alongside)")
 
     p = sub.add_parser("score", help="score degraded clips against references")
+    p.set_defaults(run=_cmd_score)
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--input-dir", required=True, help="directory of clips to score")
     p.add_argument("--pool-dir", required=True,
@@ -133,16 +138,19 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output score CSV")
 
     p = sub.add_parser("eval-mos", help="correlate scores with MOS per condition")
+    p.set_defaults(run=_cmd_eval_mos)
     p.add_argument("--scores", required=True)
     p.add_argument("--mos", required=True)
     p.add_argument("--out", help="optional per-condition CSV")
 
     p = sub.add_parser("eval-rank", help="per-family Spearman of score vs degradation level")
+    p.set_defaults(run=_cmd_eval_rank)
     p.add_argument("--scores", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", help="optional CSV")
 
     p = sub.add_parser("feature-loss", help="deep feature L1 loss between clean and estimate")
+    p.set_defaults(run=_cmd_feature_loss)
     p.add_argument("--model", required=True)
     p.add_argument("--clean", required=True)
     p.add_argument("--estimate", required=True)
@@ -150,7 +158,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     rows = degrade.synth_dataset(
         args.clean_dir, args.out, seed=args.seed, families=families,
@@ -158,15 +166,13 @@ def _cmd_synth(args) -> int:
         jobs=args.jobs,
     )
     log.info("wrote %d manifest rows to %s", len(rows), Path(args.out) / "manifest.csv")
-    return 0
 
 
-def _cmd_nsim(args) -> int:
+def _cmd_nsim(args) -> None:
     print(f"{utterance_nsim(load_wav(args.ref), load_wav(args.deg)):.6f}")
-    return 0
 
 
-def _cmd_triplets(args) -> int:
+def _cmd_triplets(args) -> None:
     cfg = tri.SamplerConfig(s=args.s, strategy_mix=args.mix, rng_seed=args.seed)
     sets = tri.build_sample_sets(degrade.read_manifest(args.manifest))
     records = tri.generate_triplets(sets, cfg, args.count)
@@ -176,10 +182,9 @@ def _cmd_triplets(args) -> int:
     tri.write_triplets(train_recs, out / "triplets_train.csv")
     tri.write_triplets(val_recs, out / "triplets_val.csv")
     log.info("wrote %d train / %d val triplets to %s", len(train_recs), len(val_recs), out)
-    return 0
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     cfg = training.TrainConfig(
         margin=args.margin, batch_size=args.batch, lr=args.lr,
         patience=args.patience, max_epochs=args.max_epochs, seed=args.seed,
@@ -192,10 +197,9 @@ def _cmd_train(args) -> int:
     log.info("best val loss %.6f at epoch %d (initial %.6f), %.1fs",
              report.best_val_loss, report.best_epoch, report.initial_val_loss,
              report.wall_time_s)
-    return 0
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args) -> None:
     model = load_checkpoint(args.model)
     clips = wav_files(args.input_dir)
     pool_dir = Path(args.pool_dir)
@@ -216,10 +220,9 @@ def _cmd_score(args) -> int:
     rows = [score_one(c) for c in clips]
     scoring.write_scores(rows, args.out)
     log.info("wrote %d scores to %s", len(rows), args.out)
-    return 0
 
 
-def _cmd_eval_mos(args) -> int:
+def _cmd_eval_mos(args) -> None:
     report = evaluate.aggregate_per_condition(
         scoring.read_scores(args.scores), evaluate.read_mos(args.mos)
     )
@@ -227,10 +230,9 @@ def _cmd_eval_mos(args) -> int:
     write_table(sys.stdout, StdoutConditionRow, report.per_condition)
     if args.out:
         write_table(args.out, evaluate.ConditionRow, report.per_condition)
-    return 0
 
 
-def _cmd_eval_rank(args) -> int:
+def _cmd_eval_rank(args) -> None:
     result = evaluate.monotonicity_report(
         scoring.read_scores(args.scores), degrade.read_manifest(args.manifest)
     )
@@ -238,26 +240,12 @@ def _cmd_eval_rank(args) -> int:
     write_table(sys.stdout, RankRow, rows)
     if args.out:
         write_table(args.out, RankRow, rows)
-    return 0
 
 
-def _cmd_feature_loss(args) -> int:
+def _cmd_feature_loss(args) -> None:
     model = load_checkpoint(args.model)
     loss, _grad = scoring.feature_loss(model, load_wav(args.clean), load_wav(args.estimate))
     print(f"{loss:.6f}")
-    return 0
-
-
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "nsim": _cmd_nsim,
-    "triplets": _cmd_triplets,
-    "train": _cmd_train,
-    "score": _cmd_score,
-    "eval-mos": _cmd_eval_mos,
-    "eval-rank": _cmd_eval_rank,
-    "feature-loss": _cmd_feature_loss,
-}
 
 
 def main(argv=None) -> int:
@@ -272,8 +260,9 @@ def main(argv=None) -> int:
                             format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
         if not args.quiet:
             log.info("resolved config: %s",
-                     {k: v for k, v in sorted(vars(args).items()) if k != "config"})
-        return _COMMANDS[args.command](args)
+                     {k: v for k, v in sorted(vars(args).items()) if k not in ("config", "run")})
+        args.run(args)
+        return 0
     except SystemExit as e:
         return int(e.code or 0)
     except (NomadError, OSError, ValueError) as e:

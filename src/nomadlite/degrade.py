@@ -307,10 +307,11 @@ def synth_dataset(
         source_id = src.stem
         clean_path = out_dir / clean_name(source_id)
         try:
-            clean = resample(load_wav(src), CANONICAL_RATE)
-            clean_spec = log_band_spectrogram(clean)  # the NSIM reference of every clip below
-            save_wav(clean, clean_path)
+            # the clean clip as written (16-bit) is every condition's input and NSIM reference
+            clean = save_wav(resample(load_wav(src), CANONICAL_RATE), clean_path)
+            clean_spec = log_band_spectrogram(clean)
         except Exception as e:  # noqa: BLE001 - skip-and-log policy
+            clean_path.unlink(missing_ok=True)  # a skipped source leaves no file
             log.warning("skipping source %s: %s", src, e)
             return []
         rows = [ManifestRow(str(clean_path), source_id, "clean", 0, 0.0, 1.0)]

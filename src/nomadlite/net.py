@@ -275,7 +275,7 @@ def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, m: float):
     """Margin hinge max(d(a, p) - d(a, n) + m, 0) on squared Euclidean
     distances summed over the last axis: a float for one triplet of
     embeddings, an array for stacked rows of triplets."""
-    if m < 0:
+    if not m >= 0:
         raise ValueError("margin must be >= 0")
     d_ap = np.sum((e_a - e_p) ** 2, axis=-1)
     d_an = np.sum((e_a - e_n) ** 2, axis=-1)

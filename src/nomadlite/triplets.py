@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_core import _check_nonnegative_int
+from .audio_core import _check_nonnegative_int, _check_positive_int
 from .degrade import ManifestRow
 from .errors import (
     DataError,
@@ -120,8 +120,7 @@ def sample_hard_negative(d: np.ndarray, positive_idx: int) -> int:
 def generate_triplets(sets: list[SampleSet], cfg: SamplerConfig, count: int) -> list[TripletRecord]:
     """Draw count triplets: source uniform, anchor uniform within its set,
     strategy Bernoulli(strategy_mix). Deterministic for a fixed rng_seed."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_positive_int("count", count)
     if not sets:
         raise DataError("no sample sets available")
     rng = np.random.default_rng(cfg.rng_seed)

@@ -152,6 +152,7 @@ COMMAND_LINES = {
     "score": ["score", "--model", "m", "--input-dir", "i", "--pool-dir", "p", "--out", "o"],
     "eval-mos": ["eval-mos", "--scores", "s", "--mos", "m"],
     "eval-rank": ["eval-rank", "--scores", "s", "--manifest", "m"],
+    "feature-loss": ["feature-loss", "--model", "m", "--clean", "c", "--estimate", "e"],
 }
 CONFIG_FLAGS = [
     (None, "--seed", "3"), (None, "--quiet", None),
@@ -164,6 +165,15 @@ CONFIG_FLAGS = [
     ("score", "--mode", "fr"),
     ("eval-mos", "--out", "x.csv"), ("eval-rank", "--out", "x.csv"),
 ]
+
+
+@pytest.mark.parametrize("line", COMMAND_LINES.values(), ids=lambda line: line[0])
+def test_subcommand_runs_its_handler(monkeypatch, line):
+    import nomadlite.cli as cli
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_" + line[0].replace("-", "_"), seen.append)
+    assert main(line) == 0
+    assert [args.command for args in seen] == [line[0]]
 
 
 class TestConfigFile:
@@ -219,7 +229,7 @@ class TestConfigFile:
         that records the parsed args and exits 0."""
         import nomadlite.cli as cli
         seen = []
-        monkeypatch.setitem(cli._COMMANDS, "nsim", lambda args: seen.append(args) or 0)
+        monkeypatch.setattr(cli, "_cmd_nsim", seen.append)
 
         def run(text):
             cfg = tmp_path / "cfg.txt"
@@ -237,7 +247,7 @@ class TestConfigFile:
 
         def run(command, flag, value):
             line = COMMAND_LINES[command]
-            monkeypatch.setitem(cli._COMMANDS, line[0], lambda args: seen.append(args) or 0)
+            monkeypatch.setattr(cli, "_cmd_" + line[0].replace("-", "_"), seen.append)
             given = [flag] if value is None else [flag, value]
             rc_flag = main(given + line if command is None else line + given)
             cfg = tmp_path / "cfg.txt"

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_utterance
 from nomadlite import degrade
-from nomadlite.audio_core import CANONICAL_RATE, Waveform, load_wav, resample, save_wav
+from nomadlite.audio_core import Waveform, load_wav, save_wav
 from nomadlite.degrade import (
     DEFAULT_FAMILIES,
     PINK_ROWS,
@@ -407,20 +407,38 @@ class TestSynthDataset:
         assert ma == mb
 
     def test_nsim_matches_clips_on_disk(self, tmp_path):
-        # the reference is the resampled source before quantization; the
-        # degraded side is each clip as read back from disk
+        # both sides are read back from disk: the reference is the written
+        # clean clip, whatever the source's rate
         clean = tmp_path / "clean"
         clean.mkdir()
         save_wav(make_utterance(30, duration_s=1.5), clean / "a.wav")
         save_wav(make_utterance(31, duration_s=1.5, sr=22050), clean / "b.wav")
-        rows = synth_dataset(clean, tmp_path / "out", seed=4)
-        assert {r.source_id for r in rows} == {"a", "b"}
+        save_wav(make_utterance(32, duration_s=1.5, sr=8000), clean / "c.wav")
+        save_wav(make_utterance(33, duration_s=1.5, sr=48000), clean / "d.wav")
+        out = tmp_path / "out"
+        rows = synth_dataset(clean, out, seed=4)
+        assert {r.source_id for r in rows} == {"a", "b", "c", "d"}
         for r in rows:
             if r.family == "clean":
                 assert r.nsim == 1.0
                 continue
-            ref = resample(load_wav(clean / f"{r.source_id}.wav"), CANONICAL_RATE)
+            ref = load_wav(out / clean_name(r.source_id))
             assert r.nsim == utterance_nsim(ref, load_wav(r.clip_path))
+
+    def test_conditions_degrade_the_written_clean_clip(self, tmp_path):
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        save_wav(make_utterance(100, duration_s=1.0, sr=8000), clean / "a.wav")
+        out = tmp_path / "out"
+        rows = synth_dataset(clean, out, seed=7)
+        written = load_wav(out / clean_name("a"))
+        assert {r.family for r in rows} == {"clean", *DEFAULT_FAMILIES}
+        for r in rows:
+            if r.family == "clean":
+                continue
+            c = DegradationCondition.from_table(r.family, r.level_index)
+            save_wav(apply_condition(written, c, 7, "a"), tmp_path / "expected.wav")
+            assert Path(r.clip_path).read_bytes() == (tmp_path / "expected.wav").read_bytes(), r.clip_path
 
     def test_one_reference_spectrogram_per_source(self, corpus, tmp_path, monkeypatch):
         # the package namespace binds ``nsim`` to the function, not the module

@@ -229,6 +229,11 @@ class TestTripletLoss:
         with pytest.raises(ValueError):
             triplet_loss(a, a, a, -0.1)
 
+    def test_nan_margin_rejected(self):
+        a = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="margin"):
+            triplet_loss(a, a, a, float("nan"))
+
     def test_stacked_rows_equal_per_row_calls(self):
         rng = np.random.default_rng(0)
         e_a, e_p, e_n = rng.standard_normal((3, 50, 16)) * 0.3

@@ -230,6 +230,11 @@ class TestSamplerConfig:
 
 
 class TestGenerateTriplets:
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_count_not_a_positive_int_rejected(self, count):
+        with pytest.raises(ValueError, match="count"):
+            generate_triplets([HAND_SET], SamplerConfig(), count)
+
     def test_deterministic(self):
         sets = random_sets(np.random.default_rng(0))
         cfg = SamplerConfig(rng_seed=42)
