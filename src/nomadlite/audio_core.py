@@ -108,8 +108,8 @@ def load_wav(path) -> Waveform:
         raise UnsupportedFormatError(
             f"{path}: sample rate {rate} Hz outside {MIN_RATE}-{MAX_RATE} Hz"
         )
-    if len(raw) % sampwidth:
-        raise CorruptHeaderError(f"{path}: data ends mid-sample after {len(raw)} bytes")
+    if (frames := len(raw) // sampwidth) < n:
+        raise CorruptHeaderError(f"{path}: header declares {n} frames, data holds {frames}")
     pcm = np.frombuffer(raw, dtype="<i2")
     if pcm.size < 1:
         raise CorruptHeaderError(f"{path}: no audio frames")

@@ -12,12 +12,14 @@ layer its weight (C_out, C_in, K) then bias (C_out); then the head weight
 (embed_dim, C_last) and head bias (embed_dim). ``_unpack`` alone knows this
 layout; init and gradients are written through its views. All arithmetic is
 float64; parameters are quantized back to float32 after updates so
-checkpoints round-trip bit-exactly.
+checkpoints round-trip bit-exactly. ``_prepare`` converts a parameter vector
+to float64 weights in the kernels' tap-major layout; each model memoizes it,
+so the conversion is paid once per parameter vector, not once per call.
 """
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,6 +78,8 @@ class EncoderConfig:
 class EmbeddingModel:
     parameters: np.ndarray  # flat float32
     config: EncoderConfig
+    # (config, parameters copy, _prepare's weights), replaced whole by _weights
+    _prepared: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.parameters = np.asarray(self.parameters, dtype=np.float32)
@@ -100,39 +104,37 @@ def init_model(cfg: EncoderConfig) -> EmbeddingModel:
     return EmbeddingModel(theta.astype(np.float32), cfg)
 
 
-def _conv1d_forward(x, w, b, stride):
+def _conv1d_forward(x, taps, b, stride):
     """Valid strided 1-d convolution over time, one GEMM per tap over all
-    clips. x: (N, T, C_in), w: (C_out, C_in, K); returns (N, T_out, C_out)."""
-    k_taps = w.shape[2]
+    clips. x: (N, T, C_in), taps: (K, C_in, C_out); returns (N, T_out, C_out)."""
+    k_taps = taps.shape[0]
     t_out = (x.shape[1] - k_taps) // stride + 1
-    wt = np.ascontiguousarray(w.transpose(2, 1, 0))  # (K, C_in, C_out)
-    z = np.empty((x.shape[0], t_out, w.shape[0]))
+    z = np.empty((x.shape[0], t_out, taps.shape[2]))
     z[...] = b
     for k in range(k_taps):
-        z += x[:, k::stride][:, :t_out] @ wt[k]
+        z += x[:, k::stride][:, :t_out] @ taps[k]
     return z
 
 
-def _conv1d_backward(x, w, stride, gz, gw, gb):
-    """Add the weight and bias gradients of _conv1d_forward into gw and gb,
-    given gz: (N, T_out, C_out)."""
+def _conv1d_backward(x, stride, gz, gw, gb):
+    """Add the weight and bias gradients of _conv1d_forward into gw
+    (C_out, C_in, K) and gb, given gz: (N, T_out, C_out)."""
     t_out = gz.shape[1]
     gzt = gz.transpose(0, 2, 1)
-    buf = np.empty((gz.shape[0],) + w.shape[:2])  # one tap's per-clip (C_out, C_in)
-    for k in range(w.shape[2]):
+    buf = np.empty((gz.shape[0],) + gw.shape[:2])  # one tap's per-clip (C_out, C_in)
+    for k in range(gw.shape[2]):
         np.matmul(gzt, x[:, k::stride][:, :t_out], out=buf)
         gw[:, :, k] += buf.sum(axis=0)
     gb += gz.sum(axis=(0, 1))
 
 
-def _conv1d_input_grad(x_shape, w, stride, gz):
+def _conv1d_input_grad(x_shape, taps_t, stride, gz):
     """Gradient of _conv1d_forward wrt its (N, T, C_in) input of x_shape,
-    given gz: (N, T_out, C_out)."""
+    given gz: (N, T_out, C_out) and taps_t: (K, C_out, C_in)."""
     t_out = gz.shape[1]
-    wk = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, C_out, C_in)
     gx = np.zeros(x_shape)
-    for k in range(w.shape[2]):
-        gx[:, k::stride][:, :t_out] += gz @ wk[k]
+    for k in range(taps_t.shape[0]):
+        gx[:, k::stride][:, :t_out] += gz @ taps_t[k]
     return gx
 
 
@@ -153,20 +155,48 @@ def _unpack(theta: np.ndarray, cfg: EncoderConfig):
     return layers, wh, bh
 
 
-def _forward(theta: np.ndarray, cfg: EncoderConfig, values_list):
-    """Forward pass over N equal-length (T, bands) spectrogram matrices,
-    stacked to (N, T, bands) and zero-padded in time up to min_frames;
-    returns ((N, embed_dim) embeddings, cache for backprop)."""
+def _prepare(theta: np.ndarray, cfg: EncoderConfig):
+    """Read-only float64 weights in the kernels' layout: per conv layer its
+    forward taps (K, C_in, C_out), input-gradient taps (K, C_out, C_in) and
+    bias; then the head weight (embed_dim, C_last) and bias."""
+    theta = theta.astype(np.float64)
+    theta.flags.writeable = False
+    layers, wh, bh = _unpack(theta, cfg)
+    prepared = []
+    for w, b in layers:
+        taps = np.ascontiguousarray(w.transpose(2, 1, 0))
+        taps_t = np.ascontiguousarray(w.transpose(2, 0, 1))
+        taps.flags.writeable = taps_t.flags.writeable = False
+        prepared.append((taps, taps_t, b))
+    return prepared, wh, bh
+
+
+def _weights(model: EmbeddingModel):
+    """_prepare's weights for the model's current config and parameters,
+    memoized on the model and rebuilt only after either has changed."""
+    config, parameters, weights = model._prepared
+    if config == model.config and np.array_equal(parameters, model.parameters):
+        return weights
+    parameters = model.parameters.copy()
+    weights = _prepare(parameters, model.config)
+    model._prepared = (model.config, parameters, weights)
+    return weights
+
+
+def _forward(weights, cfg: EncoderConfig, values_list):
+    """Forward pass with _prepare's weights over N equal-length (T, bands)
+    spectrogram matrices, stacked to (N, T, bands) and zero-padded in time up
+    to min_frames; returns ((N, embed_dim) embeddings, cache for backprop)."""
     for v in values_list:
         if v.shape[1] != cfg.bands:
             raise BandMismatchError(f"expected {cfg.bands} bands, got {v.shape[1]}")
     x = np.stack(values_list).astype(np.float64, copy=False)
     if x.shape[1] < cfg.min_frames:
         x = np.pad(x, ((0, 0), (0, cfg.min_frames - x.shape[1]), (0, 0)))
-    layers, wh, bh = _unpack(theta, cfg)
+    layers, wh, bh = weights
     xs = [x]  # conv inputs, then the last post-ReLU conv output
-    for w, b in layers:
-        z = _conv1d_forward(xs[-1], w, b, cfg.stride)
+    for taps, _taps_t, b in layers:
+        z = _conv1d_forward(xs[-1], taps, b, cfg.stride)
         xs.append(np.maximum(z, 0.0, out=z))
     pooled = xs[-1].mean(axis=1)
     z_head = pooled @ wh.T + bh
@@ -208,15 +238,15 @@ def _backward(cache, cfg: EncoderConfig, grad_e: np.ndarray, grad=None, layer_gr
         if layer_grads is not None:
             g_act += layer_grads[l]
         g_act *= xs[l + 1] > 0
-        w, _b = cache["layers"][l]
+        _taps, taps_t, _b = cache["layers"][l]
         if grad is not None:
-            _conv1d_backward(xs[l], w, cfg.stride, g_act, *g_layers[l])
+            _conv1d_backward(xs[l], cfg.stride, g_act, *g_layers[l])
         if l > 0 or grad is None:
-            g_act = _conv1d_input_grad(xs[l].shape, w, cfg.stride, g_act)
+            g_act = _conv1d_input_grad(xs[l].shape, taps_t, cfg.stride, g_act)
     return None if grad is not None else g_act
 
 
-def _bucketed_forward(theta, cfg: EncoderConfig, specs, limit: int, caches=None):
+def _bucketed_forward(weights, cfg: EncoderConfig, specs, limit: int, caches=None):
     """Embeddings of ``specs`` in input order: one _forward per group of at
     most ``limit`` clips of equal frame count. Each group's (rows, cache) is
     appended to ``caches`` if given, else freed before the next forward."""
@@ -227,7 +257,7 @@ def _bucketed_forward(theta, cfg: EncoderConfig, specs, limit: int, caches=None)
     for members in buckets.values():
         for start in range(0, len(members), limit):
             rows = members[start : start + limit]
-            emb[rows], cache = _forward(theta, cfg, [specs[i].values for i in rows])
+            emb[rows], cache = _forward(weights, cfg, [specs[i].values for i in rows])
             if caches is not None:
                 caches.append((rows, cache))
             del cache
@@ -237,7 +267,7 @@ def _bucketed_forward(theta, cfg: EncoderConfig, specs, limit: int, caches=None)
 def embed_batch(model: EmbeddingModel, specs) -> np.ndarray:
     """(N, embed_dim) L2-normalized embeddings of N spectrograms of any
     lengths, forwarded at most EMBED_CHUNK clips at a time."""
-    return _bucketed_forward(model.parameters.astype(np.float64), model.config, specs, EMBED_CHUNK)
+    return _bucketed_forward(_weights(model), model.config, specs, EMBED_CHUNK)
 
 
 def embed(model: EmbeddingModel, spec: Spectrogram) -> np.ndarray:
@@ -255,7 +285,7 @@ def feature_loss_spec(model: EmbeddingModel, clean_values: np.ndarray, est_value
     if clean_values.shape != est_values.shape:
         raise ShapeMismatchError(f"shapes differ: {clean_values.shape} vs {est_values.shape}")
     cfg = model.config
-    e, cache = _forward(model.parameters.astype(np.float64), cfg, [clean_values, est_values])
+    e, cache = _forward(_weights(model), cfg, [clean_values, est_values])
     loss = 0.0
     layer_grads = []
     for a in cache["xs"][1:]:
@@ -300,11 +330,10 @@ def loss_and_gradients(model: EmbeddingModel, batch, m: float):
     batched backward over those of its clips that have a nonzero gradient."""
     if not batch:
         raise ValueError("batch must be nonempty")
-    theta = model.parameters.astype(np.float64)
     cfg = model.config
     specs, ia, ip, ineg = index_triples(batch)
     caches = []
-    emb = _bucketed_forward(theta, cfg, specs, len(specs), caches)
+    emb = _bucketed_forward(_weights(model), cfg, specs, len(specs), caches)
 
     e_a, e_p, e_n = emb[ia], emb[ip], emb[ineg]
     hinge = triplet_loss(e_a, e_p, e_n, m)

@@ -6,7 +6,7 @@ import numpy as np
 
 from .audio_core import Waveform, log_band_spectrogram
 from .errors import EmptyPoolError
-from .net import EmbeddingModel, embed, embed_batch, feature_loss_spec
+from .net import EmbeddingModel, _weights, embed, embed_batch, feature_loss_spec
 from .table import column, read_table, write_table
 
 
@@ -17,22 +17,23 @@ def _embed_wav(model: EmbeddingModel, w: Waveform) -> np.ndarray:
 @dataclass
 class ReferencePool:
     """Clean reference clips. Their embeddings are computed in one batch and
-    cached for the last model seen, keyed by its exact config and parameters."""
+    cached for the last model seen, keyed by the prepared weights that the
+    model memoizes for its current config and parameters."""
 
     references: list[Waveform]
     pool_id: str = "pool"
-    # (config, parameters, embeddings), replaced whole so readers see one model's
-    _cache: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
+    # (weights, embeddings), replaced whole so readers see one model's
+    _cache: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def embeddings(self, model: EmbeddingModel) -> np.ndarray:
         if not self.references:
             raise EmptyPoolError(f"pool {self.pool_id!r} is empty")
-        config, parameters, emb = self._cache
-        if config == model.config and np.array_equal(parameters, model.parameters):
+        weights = _weights(model)
+        cached, emb = self._cache
+        if cached is weights:
             return emb
-        snapshot = EmbeddingModel(model.parameters.copy(), model.config)
-        emb = embed_batch(snapshot, [log_band_spectrogram(w) for w in self.references])
-        self._cache = (snapshot.config, snapshot.parameters, emb)
+        emb = embed_batch(model, [log_band_spectrogram(w) for w in self.references])
+        self._cache = (weights, emb)
         return emb
 
 

@@ -99,14 +99,20 @@ class TestLoadWav:
 
     def test_data_cut_mid_sample(self, tmp_path):
         # a file one byte short used to leak numpy's "buffer size must be a
-        # multiple of element size"; a header whose data size is odd still
-        # loads its whole frames
+        # multiple of element size", and one cut at a sample boundary loaded
+        # its remaining frames; a header whose data size is odd still loads
+        # its whole frames
         whole = tmp_path / "whole.wav"
         write_raw_wav(whole, b"\x01\x00" * 1000)
         cut = tmp_path / "cut.wav"
         cut.write_bytes(whole.read_bytes()[:-1])
         with pytest.raises(CorruptHeaderError, match=re.escape(str(cut))):
             load_wav(cut)
+        boundary = tmp_path / "boundary.wav"
+        boundary.write_bytes(whole.read_bytes()[:-200])
+        with pytest.raises(CorruptHeaderError,
+                           match=re.escape(f"{boundary}: header declares 1000 frames, data holds 900")):
+            load_wav(boundary)
         odd = tmp_path / "odd.wav"
         write_raw_wav(odd, b"\x01\x00" * 999 + b"\x01")
         assert np.array_equal(load_wav(odd).samples, np.full(999, 1 / 32768.0))

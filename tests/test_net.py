@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from nomadlite.net import (
     EncoderConfig,
     embed,
     embed_batch,
+    feature_loss_spec,
     init_model,
     load_checkpoint,
     loss_and_gradients,
     save_checkpoint,
     triplet_loss,
 )
+from nomadlite.train import _sgd_step
 
 # small enough for finite differences, same structure as the default
 TINY = EncoderConfig(bands=2, conv_channels=(4, 8), kernel=3, stride=2,
@@ -359,11 +362,12 @@ def concatenated_backward(cache, cfg, grad_e):
     blocks = [(gz_head.T @ np.maximum(cache["pooled"], 0.0)).ravel(), gz_head.sum(axis=0)]
     for l in range(len(cache["layers"]) - 1, -1, -1):
         g_act *= xs[l + 1] > 0
-        w, b = cache["layers"][l]
-        gw, gb = np.zeros_like(w), np.zeros_like(b)
-        net._conv1d_backward(xs[l], w, cfg.stride, g_act, gw, gb)
+        c_in, c_out = cfg.layer_dims()[l]
+        gw, gb = np.zeros((c_out, c_in, cfg.kernel)), np.zeros(c_out)
+        net._conv1d_backward(xs[l], cfg.stride, g_act, gw, gb)
         if l > 0:
-            g_act = net._conv1d_input_grad(xs[l].shape, w, cfg.stride, g_act)
+            _taps, taps_t, _b = cache["layers"][l]
+            g_act = net._conv1d_input_grad(xs[l].shape, taps_t, cfg.stride, g_act)
         blocks = [gw.ravel(), gb] + blocks
     return np.concatenate(blocks)
 
@@ -371,11 +375,10 @@ def concatenated_backward(cache, cfg, grad_e):
 def concatenated_loss_and_gradients(model, batch, m):
     """loss_and_gradients adding a fresh concatenated gradient per bucket
     into a sum that is divided at the end."""
-    theta = model.parameters.astype(np.float64)
     cfg = model.config
     specs, ia, ip, ineg = net.index_triples(batch)
     caches = []
-    emb = net._bucketed_forward(theta, cfg, specs, len(specs), caches)
+    emb = net._bucketed_forward(net._prepare(model.parameters, cfg), cfg, specs, len(specs), caches)
     e_a, e_p, e_n = emb[ia], emb[ip], emb[ineg]
     hinge = triplet_loss(e_a, e_p, e_n, m)
     active = hinge > 0
@@ -431,6 +434,89 @@ class TestParameterLayout:
         ref_loss, ref_grad = concatenated_loss_and_gradients(model, batch, 0.0)
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
+
+
+def stacked_feature_loss(model, specs):
+    loss, grad = feature_loss_spec(model, specs[0].values, specs[1].values)
+    return np.append(grad, loss)
+
+
+# the encoder entry points that read a model's prepared weights
+ENTRY_POINTS = {
+    "embed": lambda model, specs: embed(model, specs[0]),
+    "embed_batch": lambda model, specs: embed_batch(model, specs),
+    "feature_loss_spec": stacked_feature_loss,
+}
+
+
+def cold_copy(model):
+    """A model of the same config and parameters, dtype included, that has
+    prepared no weights yet."""
+    copy = EmbeddingModel(model.parameters.astype(np.float32), model.config)
+    copy.parameters = model.parameters.copy()
+    return copy
+
+
+def edit_model(model, edit):
+    if edit == "one_weight_in_place":
+        model.parameters[-1] += 0.5  # a head bias: moves every embedding
+    elif edit == "sgd_step":
+        _sgd_step(model, np.random.default_rng(0).standard_normal(model.parameters.size), 1e-2)
+    elif edit == "float64_assignment":
+        theta = model.parameters.astype(np.float64)
+        theta[-1] += 1e-6  # float32 has no value equal to this one
+        model.parameters = theta
+    else:
+        model.config = replace(model.config, stride=3)
+
+
+class TestPreparedWeights:
+    """A model prepares its float64 weights once per config and parameter
+    vector, and every entry point sees each later change to either."""
+
+    @pytest.mark.parametrize("edit", ["one_weight_in_place", "sgd_step",
+                                      "float64_assignment", "config_stride"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_edit_is_seen(self, entry, edit):
+        run = ENTRY_POINTS[entry]
+        rng = np.random.default_rng(31)
+        specs = [random_spec(rng, t, SMALL.bands) for t in (40, 40, 70)]
+        model = init_model(SMALL)
+        before = run(model, specs)
+        edit_model(model, edit)
+        after = run(model, specs)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, run(cold_copy(model), specs))
+
+    def test_unchanged_model_prepares_once(self, monkeypatch):
+        prepared = []
+        prepare = net._prepare
+
+        def counting_prepare(theta, cfg):
+            prepared.append(cfg)
+            return prepare(theta, cfg)
+
+        monkeypatch.setattr(net, "_prepare", counting_prepare)
+        rng = np.random.default_rng(32)
+        specs = [random_spec(rng, t, SMALL.bands) for t in (40, 40, 70)]
+        batch = [(specs[0], specs[1], specs[2])]
+        model = init_model(SMALL)
+        for _ in range(2):
+            for run in ENTRY_POINTS.values():
+                run(model, specs)
+            loss_and_gradients(model, batch, 1.0)
+        assert len(prepared) == 1
+        # a training step prepares the new parameters once
+        _, grad = loss_and_gradients(model, batch, 1.0)
+        _sgd_step(model, grad, 1e-2)
+        loss_and_gradients(model, batch, 1.0)
+        embed(model, specs[0])
+        assert len(prepared) == 2
+
+    def test_prepared_weights_are_read_only(self):
+        taps_and_biases, wh, bh = net._prepare(init_model(TINY).parameters, TINY)
+        for array in [a for layer in taps_and_biases for a in layer] + [wh, bh]:
+            assert array.dtype == np.float64 and not array.flags.writeable
 
 
 class TestCheckpoint:

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nomadlite import net
+from nomadlite import score as score_module
 from nomadlite.audio_core import Waveform
 from nomadlite.errors import EmptyPoolError, ShapeMismatchError
-from nomadlite.net import EmbeddingModel, EncoderConfig, _backward, _forward, init_model
+from nomadlite.net import EmbeddingModel, EncoderConfig, _backward, _forward, _prepare, init_model
 from nomadlite.score import (
     ReferencePool,
     ScoreRow,
@@ -149,6 +150,33 @@ class TestPoolCache:
         assert "_cache" not in repr(pool)
 
 
+def test_config_reassigned_on_the_same_model_is_a_pool_miss(model):
+    # stride is not part of the prepared weights, so only the memo's config
+    # check keeps the pool from returning the old stride's embeddings
+    strided = EmbeddingModel(model.parameters.copy(), model.config)
+    pool = ReferencePool([wav(83), wav(84)], "p")
+    before = pool.embeddings(strided).copy()
+    strided.config = replace(model.config, stride=3)
+    after = pool.embeddings(strided)
+    assert not np.allclose(after, before)
+    fresh = EmbeddingModel(model.parameters.copy(), strided.config)
+    assert np.array_equal(after, ReferencePool(pool.references, "p").embeddings(fresh))
+
+
+def test_warm_pooled_score_prepares_and_embeds_no_pool(monkeypatch):
+    model = init_model(SMALL)
+    pool = ReferencePool([wav(80), wav(81)], "p")
+    test = wav(82)
+    cold = pooled_score(model, test, pool)
+    calls = []
+    prepare, pool_embed_batch = net._prepare, score_module.embed_batch
+    monkeypatch.setattr(net, "_prepare", lambda *a: calls.append("_prepare") or prepare(*a))
+    monkeypatch.setattr(score_module, "embed_batch",
+                        lambda *a: calls.append("embed_batch") or pool_embed_batch(*a))
+    assert pooled_score(model, test, pool) == cold
+    assert calls == []
+
+
 class TestFeatureLoss:
     def test_identity_zero(self):
         model = init_model(TINY)
@@ -201,10 +229,10 @@ class TestFeatureLoss:
 def two_forward_feature_loss(model, clean_values, est_values):
     """The feature loss as two N = 1 forwards, one per clip: the reference
     that the stacked forward of ``feature_loss_spec`` is held to."""
-    theta = model.parameters.astype(np.float64)
     cfg = model.config
-    e_c, cache_c = _forward(theta, cfg, [clean_values])
-    e_e, cache_e = _forward(theta, cfg, [est_values])
+    weights = _prepare(model.parameters, cfg)
+    e_c, cache_c = _forward(weights, cfg, [clean_values])
+    e_e, cache_e = _forward(weights, cfg, [est_values])
     loss = 0.0
     layer_grads = []
     for a_c, a_e in zip(cache_c["xs"][1:], cache_e["xs"][1:]):
@@ -249,7 +277,7 @@ class TestStackedFeatureLoss:
         assert loss > 0 and np.any(grad != 0)
         assert calls == []
         # the counter does see a training backward: one call per conv layer
-        e, cache = _forward(model.parameters.astype(np.float64), TINY, [clean])
+        e, cache = _forward(_prepare(model.parameters, TINY), TINY, [clean])
         _backward(cache, TINY, np.ones_like(e), grad=np.zeros(TINY.param_count))
         assert len(calls) == len(TINY.conv_channels)
 
