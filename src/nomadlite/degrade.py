@@ -13,6 +13,7 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     SilentInputError,
     UnsupportedBitrateError,
 )
-from .nsim import utterance_nsim
+from .nsim import prepare_reference, utterance_nsim
 from .table import column, read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -86,14 +87,18 @@ def clip_signal(w: Waveform, percent: float) -> Waveform:
     n = len(x)
     k = int(math.ceil(percent / 100.0 * n - 1e-9))
     k = max(k, 1)
-    tau = np.partition(np.abs(x), n - k)[n - k]
+    a = np.abs(x)
+    a.partition(n - k)
+    tau = a[n - k]
     return Waveform(np.clip(x, -tau, tau), w.sample_rate)
 
 
 def _limit_peak(y: np.ndarray) -> np.ndarray:
-    """Scale to a 0.99 peak, only when some sample overflows [-1, 1]."""
+    """Scale y in place to a 0.99 peak, only when some sample overflows [-1, 1]."""
     peak = np.max(np.abs(y))
-    return y * (0.99 / peak) if peak > 1.0 else y
+    if peak > 1.0:
+        y *= 0.99 / peak
+    return y
 
 
 def mix_noise_at_snr(x: Waveform, s: Waveform, snr_db: float) -> Waveform:
@@ -112,19 +117,48 @@ def mix_noise_at_snr(x: Waveform, s: Waveform, snr_db: float) -> Waveform:
     if p_x == 0.0 or p_s == 0.0:
         raise SilentInputError("signal and noise must both carry energy")
     g = math.sqrt(p_x / (p_s * 10.0 ** (snr_db / 10.0)))
-    return Waveform(_limit_peak(x.samples + g * noise), x.sample_rate)
+    y = g * noise
+    y += x.samples
+    return Waveform(_limit_peak(y), x.sample_rate)
 
 
 def _quantize(x: np.ndarray, bits: int) -> np.ndarray:
     scale = 2.0 ** (bits - 1)
-    return np.clip(np.round(x * scale) / scale, -1.0, 1.0 - 1.0 / scale)
+    y = x * scale
+    np.round(y, out=y)
+    y /= scale
+    return np.clip(y, -1.0, 1.0 - 1.0 / scale, out=y)
 
 
-def _brickwall_lowpass(x: np.ndarray, sr: int, cutoff_hz: float) -> np.ndarray:
-    spec = np.fft.rfft(x)
-    freqs = np.fft.rfftfreq(len(x), 1.0 / sr)
-    spec[freqs > cutoff_hz] = 0.0
-    return np.fft.irfft(spec, n=len(x))
+class _Analyzed(Waveform):
+    """A waveform whose rFFT is taken on first use and then shared, as by
+    every codec_proxy level of one clean clip in ``synth_dataset``. Only
+    ``_analyzed`` makes one, over read-only samples, so the spectrum always
+    belongs to the samples it travels with."""
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rFFT of the samples and its bins' frequencies in Hz, read-only."""
+        spectrum = np.fft.rfft(self.samples), np.fft.rfftfreq(len(self.samples), 1.0 / self.sample_rate)
+        for a in spectrum:
+            a.flags.writeable = False
+        return spectrum
+
+
+def _analyzed(w: Waveform) -> _Analyzed:
+    if isinstance(w, _Analyzed):
+        return w
+    samples = w.samples.view()
+    samples.flags.writeable = False
+    return _Analyzed(samples, w.sample_rate)
+
+
+def _brickwall_lowpass(w: _Analyzed, cutoff_hz: float) -> np.ndarray:
+    """Zero every rFFT bin above cutoff_hz and transform back. irfft pads the
+    bins up to cutoff_hz with zeros, so the transform is that of the zeroed
+    spectrum, without copying it."""
+    spec, freqs = w.spectrum
+    return np.fft.irfft(spec[: np.searchsorted(freqs, cutoff_hz, side="right")], n=len(w.samples))
 
 
 def codec_proxy(w: Waveform, kbps: float, flavor: str = "mp3like") -> Waveform:
@@ -137,7 +171,7 @@ def codec_proxy(w: Waveform, kbps: float, flavor: str = "mp3like") -> Waveform:
     bw = 280.0 if flavor == "mp3like" else 340.0
     cutoff = min(7600.0, bw * math.sqrt(kbps))
     bits = int(min(14, max(4, math.floor(3 + 1.5 * math.log2(kbps)))))
-    y = _brickwall_lowpass(w.samples, w.sample_rate, cutoff)
+    y = _brickwall_lowpass(_analyzed(w), cutoff)
     return Waveform(_quantize(y, bits), w.sample_rate)
 
 
@@ -162,7 +196,9 @@ def reverb_probe(w: Waveform, rt60_s: float, rng: np.random.Generator | None = N
 
 
 def white_noise(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal(n) * 0.1
+    y = rng.standard_normal(n)
+    y *= 0.1
+    return y
 
 
 def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -307,9 +343,10 @@ def synth_dataset(
         source_id = src.stem
         clean_path = out_dir / clean_name(source_id)
         try:
-            # the clean clip as written (16-bit) is every condition's input and NSIM reference
-            clean = save_wav(resample(load_wav(src), CANONICAL_RATE), clean_path)
-            clean_spec = log_band_spectrogram(clean)
+            # the clean clip as written (16-bit) is every condition's input and NSIM
+            # reference; its rFFT and NSIM patch statistics are shared by them all
+            clean = _analyzed(save_wav(resample(load_wav(src), CANONICAL_RATE), clean_path))
+            reference = prepare_reference(log_band_spectrogram(clean))
         except Exception as e:  # noqa: BLE001 - skip-and-log policy
             clean_path.unlink(missing_ok=True)  # a skipped source leaves no file
             log.warning("skipping source %s: %s", src, e)
@@ -325,7 +362,7 @@ def synth_dataset(
                 )
                 path = out_dir / degraded_name(source_id, c)
                 # NSIM measured on what lands on disk (post 16-bit quantization)
-                q = utterance_nsim(clean_spec, save_wav(deg, path))
+                q = utterance_nsim(reference, save_wav(deg, path))
                 rows.append(ManifestRow(str(path), source_id, c.family, c.level_index, c.level_param, q))
             except Exception as e:  # noqa: BLE001 - skip-and-log policy
                 log.warning("skipping %s %s level %d: %s", source_id, c.family, c.level_index, e)

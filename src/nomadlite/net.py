@@ -158,17 +158,16 @@ def _unpack(theta: np.ndarray, cfg: EncoderConfig):
 def _prepare(theta: np.ndarray, cfg: EncoderConfig):
     """Read-only float64 weights in the kernels' layout: per conv layer its
     forward taps (K, C_in, C_out), input-gradient taps (K, C_out, C_in) and
-    bias; then the head weight (embed_dim, C_last) and bias."""
-    theta = theta.astype(np.float64)
-    theta.flags.writeable = False
+    bias; then the head weight (embed_dim, C_last) and bias. Each is its own
+    array, so no view keeps the whole float64 parameter vector alive."""
+    def own(a):
+        a = np.array(a, dtype=np.float64, order="C")
+        a.flags.writeable = False
+        return a
+
     layers, wh, bh = _unpack(theta, cfg)
-    prepared = []
-    for w, b in layers:
-        taps = np.ascontiguousarray(w.transpose(2, 1, 0))
-        taps_t = np.ascontiguousarray(w.transpose(2, 0, 1))
-        taps.flags.writeable = taps_t.flags.writeable = False
-        prepared.append((taps, taps_t, b))
-    return prepared, wh, bh
+    prepared = [(own(w.transpose(2, 1, 0)), own(w.transpose(2, 0, 1)), own(b)) for w, b in layers]
+    return prepared, own(wh), own(bh)
 
 
 def _weights(model: EmbeddingModel):

@@ -29,57 +29,66 @@ class NsimScore:
     max_excursion: float = 0.0  # largest pre-clamp overshoot beyond [0, 1]
 
 
-def _patch_stats(ref, deg, pt, pb):
-    """Per-patch population mean/var/cov over all pt x pb windows (stride 1)."""
-    n = pt * pb
-    tt = ref.shape[0] - pt + 1
-    bb = ref.shape[1] - pb + 1
-
-    def box_sum(a):
-        # separable window sum, band taps first and then time taps: up to
-        # 7x7, with more than one window across the bands, this order gives
-        # the same bits as numpy's sum over a 4-d sliding-window view
-        h = a[:, 0:bb]
-        for j in range(1, pb):
-            h = h + a[:, j : j + bb]
-        s = h[0:tt]
-        for i in range(1, pt):
-            s = s + h[i : i + tt]
-        return s
-
-    mu_r = box_sum(ref) / n
-    mu_d = box_sum(deg) / n
-    var_r = box_sum(ref * ref) / n - mu_r * mu_r
-    var_d = box_sum(deg * deg) / n - mu_d * mu_d
-    cov = box_sum(ref * deg) / n - mu_r * mu_d
-    return mu_r, mu_d, var_r, var_d, cov
+def _box_mean(a, pt=PATCH_T, pb=PATCH_B):
+    """Mean of ``a`` over every pt x pb window (stride 1)."""
+    tt = a.shape[0] - pt + 1
+    bb = a.shape[1] - pb + 1
+    # separable window sum, band taps first and then time taps: up to 7x7,
+    # with more than one window across the bands, this order gives the same
+    # bits as numpy's sum over a 4-d sliding-window view
+    h = a[:, 0:bb]
+    for j in range(1, pb):
+        h = h + a[:, j : j + bb]
+    s = h[0:tt]
+    for i in range(1, pt):
+        s = s + h[i : i + tt]
+    return s / (pt * pb)
 
 
-def nsim(ref: Spectrogram, deg: Spectrogram) -> NsimScore:
-    """NSIM over PATCH_T x PATCH_B patches, with the intensity range L taken
-    from the reference."""
+def _patch_moments(a, pt=PATCH_T, pb=PATCH_B):
+    """Per-window population mean and variance of ``a``."""
+    mu = _box_mean(a, pt, pb)
+    return mu, _box_mean(a * a, pt, pb) - mu * mu
+
+
+@dataclass(frozen=True)
+class NsimReference:
+    """A reference spectrogram prepared for NSIM: its values, intensity range
+    L and per-patch mean and sigma. Every clip scored against one reference
+    shares them; only ``prepare_reference`` makes one."""
+
+    values: np.ndarray
+    L: float
+    mu: np.ndarray
+    sigma: np.ndarray
+
+
+def prepare_reference(ref: Spectrogram) -> NsimReference:
+    """``ref`` with the statistics that every clip scored against it reads."""
     r = ref.values
-    d = deg.values
-    if r.shape != d.shape:
-        raise ShapeMismatchError(f"spectrogram shapes differ: {r.shape} vs {d.shape}")
     if r.shape[0] < PATCH_T or r.shape[1] < PATCH_B:
         raise PatchTooLargeError(f"patch {PATCH_T}x{PATCH_B} exceeds spectrogram {r.shape}")
+    mu, var = _patch_moments(r)
+    return NsimReference(r, float(r.max() - r.min()), mu, np.sqrt(np.maximum(var, 0.0)))
 
-    L = float(r.max() - r.min())
-    if L == 0.0:
+
+def _score(ref: NsimReference, d: np.ndarray) -> NsimScore:
+    """NSIM of degraded values ``d``, shaped like ``ref.values``."""
+    r = ref.values
+    if ref.L == 0.0:
         # constant reference: similarity is all-or-nothing
         log.warning("constant reference spectrogram; NSIM degenerates to equality check")
         q = 1.0 if np.array_equal(r, d) else 0.0
-        shape = (r.shape[0] - PATCH_T + 1, r.shape[1] - PATCH_B + 1)
-        return NsimScore(q, np.full(shape, q))
+        return NsimScore(q, np.full(ref.mu.shape, q))
 
-    mu_r, mu_d, var_r, var_d, cov = _patch_stats(r, d, PATCH_T, PATCH_B)
-    sig_r = np.sqrt(np.maximum(var_r, 0.0))
+    mu_r = ref.mu
+    mu_d, var_d = _patch_moments(d)
+    cov = _box_mean(r * d) - mu_r * mu_d
     sig_d = np.sqrt(np.maximum(var_d, 0.0))
-    c1 = C1_SCALE * L
-    c3 = (C23_SCALE * L) ** 2
+    c1 = C1_SCALE * ref.L
+    c3 = (C23_SCALE * ref.L) ** 2
     luminance = (2 * mu_r * mu_d + c1) / (mu_r**2 + mu_d**2 + c1)
-    structure = (cov + c3) / (sig_r * sig_d + c3)
+    structure = (cov + c3) / (ref.sigma * sig_d + c3)
     q = luminance * structure
 
     # excursion tracks overshoot above 1 (patch level) and out-of-range
@@ -94,17 +103,28 @@ def nsim(ref: Spectrogram, deg: Spectrogram) -> NsimScore:
     return NsimScore(utterance, patch_scores, excursion)
 
 
-def utterance_nsim(ref: Waveform | Spectrogram, deg_wav: Waveform) -> float:
+def nsim(ref: Spectrogram, deg: Spectrogram) -> NsimScore:
+    """NSIM over PATCH_T x PATCH_B patches, with the intensity range L taken
+    from the reference."""
+    if ref.values.shape != deg.values.shape:
+        raise ShapeMismatchError(f"spectrogram shapes differ: {ref.values.shape} vs {deg.values.shape}")
+    return _score(prepare_reference(ref), deg.values)
+
+
+def utterance_nsim(ref: Waveform | NsimReference, deg_wav: Waveform) -> float:
     """NSIM of two waveforms through the shared front-end, trimmed to the
     common frame count (frame counts may differ by at most one).
 
-    ``ref`` may also be the reference's ``log_band_spectrogram``, so that
-    many clips scored against one reference share its front-end pass."""
-    sr = ref if isinstance(ref, Spectrogram) else log_band_spectrogram(ref)
-    sd = log_band_spectrogram(deg_wav)
-    t = min(sr.values.shape[0], sd.values.shape[0])
-    if max(sr.values.shape[0], sd.values.shape[0]) - t > 1:
-        raise ShapeMismatchError(
-            f"frame counts differ by more than one: {sr.values.shape[0]} vs {sd.values.shape[0]}"
-        )
-    return nsim(Spectrogram(sr.values[:t]), Spectrogram(sd.values[:t])).utterance
+    ``ref`` may also be prepared by ``prepare_reference`` from the
+    reference's ``log_band_spectrogram``, so that many clips scored against
+    one reference share its front-end pass and patch statistics. When the
+    degraded clip is a frame shorter, the reference is prepared again from
+    its trimmed values."""
+    r = ref.values if isinstance(ref, NsimReference) else log_band_spectrogram(ref).values
+    d = log_band_spectrogram(deg_wav).values
+    t = min(r.shape[0], d.shape[0])
+    if max(r.shape[0], d.shape[0]) - t > 1:
+        raise ShapeMismatchError(f"frame counts differ by more than one: {r.shape[0]} vs {d.shape[0]}")
+    if not isinstance(ref, NsimReference) or r.shape[0] > t:
+        ref = prepare_reference(Spectrogram(r[:t]))
+    return _score(ref, d[:t]).utterance

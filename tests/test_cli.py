@@ -480,16 +480,22 @@ class TestPipeline:
             assert (again / p.name).read_bytes() == p.read_bytes()
 
     def test_synth_jobs_match_serial(self, pipeline, tmp_path):
+        # a codec family too: each thread's sources carry their own rFFT
         root, clean, data, ckpt = pipeline
-        parallel = tmp_path / "parallel"
-        rc = main(["--quiet", "--seed", "7", "synth", "--clean-dir", str(clean),
-                   "--out", str(parallel), "--families", "clip,noise", "--jobs", "2"])
-        assert rc == 0
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        for out, jobs in ((serial, "1"), (parallel, "2")):
+            rc = main(["--quiet", "--seed", "7", "synth", "--clean-dir", str(clean), "--out", str(out),
+                       "--families", "clip,noise,codec_proxy_mp3like", "--jobs", jobs])
+            assert rc == 0
         # manifest rows hold the output directory; everything else must match
-        manifest = (parallel / "manifest.csv").read_text().replace(str(parallel), str(data))
-        assert manifest == (data / "manifest.csv").read_text()
-        for p in sorted(data.glob("*.wav")):
+        manifest = (parallel / "manifest.csv").read_text().replace(str(parallel), str(serial))
+        assert manifest == (serial / "manifest.csv").read_text()
+        assert len(manifest.splitlines()) == 1 + 4 * 16
+        for p in sorted(serial.glob("*.wav")):
             assert (parallel / p.name).read_bytes() == p.read_bytes()
+        # the pipeline's clip and noise clips are the same bytes
+        for p in sorted(data.glob("*.wav")):
+            assert (serial / p.name).read_bytes() == p.read_bytes()
 
     @pytest.mark.parametrize("families", ["clip,clip", ",", "clip,bogus"])
     def test_synth_bad_families_exit_one(self, pipeline, tmp_path, capsys, families):

@@ -11,7 +11,9 @@ from nomadlite.audio_core import Waveform, load_wav, save_wav
 from nomadlite.degrade import (
     DEFAULT_FAMILIES,
     PINK_ROWS,
+    _analyzed,
     _brickwall_lowpass,
+    _quantize,
     LEVEL_TABLES,
     DegradationCondition,
     apply_condition,
@@ -138,7 +140,7 @@ class TestCodecProxy:
         # the output sits on the 7-bit quantization grid
         rng = np.random.default_rng(8)
         w = Waveform(rng.uniform(-0.5, 0.5, 16000), 16000)
-        lp = _brickwall_lowpass(w.samples, 16000, 280 * math.sqrt(8))
+        lp = _brickwall_lowpass(_analyzed(w), 280 * math.sqrt(8))
         spec = np.abs(np.fft.rfft(lp))
         freqs = np.fft.rfftfreq(len(lp), 1 / 16000)
         assert np.max(spec[freqs > 800]) < 1e-9 * np.max(spec)
@@ -164,6 +166,70 @@ class TestCodecProxy:
     def test_deterministic(self):
         w = Waveform(np.random.default_rng(9).uniform(-0.5, 0.5, 4000), 16000)
         assert np.array_equal(codec_proxy(w, 32).samples, codec_proxy(w, 32).samples)
+
+    def test_lowpass_equals_zeroed_spectrum(self):
+        # irfft pads the kept bins with zeros: the same bits as zeroing the
+        # bins above the cutoff in the full spectrum
+        for n in (4000, 4001):
+            x = np.random.default_rng(n).uniform(-0.5, 0.5, n)
+            a = _analyzed(Waveform(x, 16000))
+            for cutoff in (100.0, 792.0, 7600.0, 8000.0):
+                spec = np.fft.rfft(x)
+                spec[np.fft.rfftfreq(n, 1 / 16000) > cutoff] = 0.0
+                assert np.array_equal(_brickwall_lowpass(a, cutoff), np.fft.irfft(spec, n=n))
+
+    def test_analyzed_clip_shares_one_spectrum(self):
+        w = Waveform(np.random.default_rng(10).uniform(-0.5, 0.5, 4000), 16000)
+        a = _analyzed(w)
+        assert _analyzed(a) is a
+        for flavor in ("mp3like", "opuslike"):
+            for kbps in LEVEL_TABLES[f"codec_proxy_{flavor}"]:
+                assert np.array_equal(codec_proxy(a, kbps, flavor).samples, codec_proxy(w, kbps, flavor).samples)
+        assert a.spectrum is a.spectrum
+        # the clip and its spectrum cannot be changed apart
+        for array in (a.samples, *a.spectrum):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
+class TestInputsUnchanged:
+    """The operations compute in place on their own arrays, never on an input."""
+
+    def test_each_operation_leaves_its_input(self, utterances):
+        u = utterances[2]
+        noise = Waveform(np.random.default_rng(3).standard_normal(1000), u.sample_rate)
+        loud = Waveform(u.samples * 4.0, u.sample_rate)  # overflows, so the peak limiter scales
+        calls = [
+            (lambda: _quantize(u.samples, 7), [u.samples]),
+            (lambda: codec_proxy(u, 8), [u.samples]),
+            (lambda: codec_proxy(loud, 128, "opuslike"), [loud.samples]),
+            (lambda: mix_noise_at_snr(u, noise, 0.0), [u.samples, noise.samples]),
+            (lambda: mix_noise_at_snr(loud, noise, 0.0), [loud.samples, noise.samples]),
+            (lambda: clip_signal(u, 25.0), [u.samples]),
+            (lambda: reverb_probe(loud, 0.3, np.random.default_rng(1)), [loud.samples]),
+        ]
+        for call, inputs in calls:
+            before = [a.copy() for a in inputs]
+            call()
+            for a, b in zip(inputs, before):
+                assert np.array_equal(a, b)
+
+    def test_white_noise_is_scaled_draws(self):
+        expected = np.random.default_rng(4).standard_normal(500) * 0.1
+        assert np.array_equal(white_noise(500, np.random.default_rng(4)), expected)
+
+    def test_quantize_and_limit_match_out_of_place(self, utterances):
+        x = utterances[3].samples * 3.0
+        for bits in (4, 7, 14):
+            scale = 2.0 ** (bits - 1)
+            expected = np.clip(np.round(x * scale) / scale, -1.0, 1.0 - 1.0 / scale)
+            assert np.array_equal(_quantize(x, bits), expected)
+        s = Waveform(np.random.default_rng(5).standard_normal(len(x)), 16000)
+        y = mix_noise_at_snr(Waveform(x, 16000), s, 0.0)
+        g = math.sqrt(np.mean(x**2) / np.mean(s.samples**2))
+        mixed = x + g * s.samples
+        assert np.max(np.abs(mixed)) > 1.0
+        assert np.array_equal(y.samples, mixed * (0.99 / np.max(np.abs(mixed))))
 
 
 class TestReverb:
@@ -466,6 +532,32 @@ class TestSynthDataset:
             "nomadlite.degrade.load_wav": 2,
             "nomadlite.nsim.log_band_spectrogram": degraded,
         }
+
+    def test_one_clean_analysis_per_source(self, corpus, tmp_path, monkeypatch):
+        # each source's rFFT serves its 10 codec levels and its prepared NSIM
+        # reference its 20 labels, also when two threads render the sources
+        spectrum = degrade._Analyzed.__dict__["spectrum"]
+        calls = []  # list.append is atomic, so no count is lost between threads
+        rfft, prepare = spectrum.func, degrade.prepare_reference
+
+        def counting_rfft(w):
+            calls.append("rfft")
+            return rfft(w)
+
+        def counting_prepare(spec):
+            calls.append("reference")
+            return prepare(spec)
+
+        monkeypatch.setattr(spectrum, "func", counting_rfft)
+        monkeypatch.setattr(degrade, "prepare_reference", counting_prepare)
+        for jobs in (1, 2):
+            calls.clear()
+            rows = synth_dataset(corpus, tmp_path / f"out{jobs}", seed=3, jobs=jobs)
+            assert len(rows) == 42
+            assert sorted(calls) == ["reference", "reference", "rfft", "rfft"]
+        calls.clear()
+        synth_dataset(corpus, tmp_path / "no-codec", seed=3, families=["clip", "noise"])
+        assert calls == ["reference", "reference"]
 
     def test_source_too_short_for_reference_skipped_whole(self, corpus, tmp_path):
         clean = tmp_path / "clean2"

@@ -518,6 +518,16 @@ class TestPreparedWeights:
         for array in [a for layer in taps_and_biases for a in layer] + [wh, bh]:
             assert array.dtype == np.float64 and not array.flags.writeable
 
+    def test_prepared_weights_hold_no_parameter_vector(self):
+        # the kernels read only the prepared arrays; a view into a
+        # param_count-long array would keep that whole vector alive
+        taps_and_biases, wh, bh = net._prepare(init_model(SMALL).parameters, SMALL)
+        for array in [a for layer in taps_and_biases for a in layer] + [wh, bh]:
+            base = array
+            while base is not None:
+                assert base.size != SMALL.param_count
+                base = base.base
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tmp_path):

@@ -15,15 +15,22 @@ from nomadlite.degrade import (
     white_noise,
 )
 from nomadlite.errors import PatchTooLargeError, ShapeMismatchError
-from nomadlite.nsim import _patch_stats, nsim, utterance_nsim
+from nomadlite.nsim import _box_mean, _patch_moments, nsim, prepare_reference, utterance_nsim
 
 
 def spec_of(values):
     return Spectrogram(np.asarray(values, dtype=float))
 
 
+def patch_stats(ref, deg, pt, pb):
+    """The five per-patch statistics NSIM reads, from nsim's own helpers."""
+    mu_r, var_r = _patch_moments(ref, pt, pb)
+    mu_d, var_d = _patch_moments(deg, pt, pb)
+    return mu_r, mu_d, var_r, var_d, _box_mean(ref * deg, pt, pb) - mu_r * mu_d
+
+
 def windowed_patch_stats(ref, deg, pt, pb):
-    """Reference: the full-window reduction that ``_patch_stats`` replaced."""
+    """Reference: the full-window reduction that the box sums replaced."""
     n = pt * pb
     wr = sliding_window_view(ref, (pt, pb))
     wd = sliding_window_view(deg, (pt, pb))
@@ -55,14 +62,14 @@ class TestPatchStats:
     @pytest.mark.parametrize("pt,pb", [(1, 1), (3, 3), (3, 5), (5, 3), (7, 7)])
     def test_bit_identical_to_windowed_on_desk(self, desk_pairs, pt, pb):
         for ref, deg in desk_pairs:
-            for a, b in zip(_patch_stats(ref, deg, pt, pb), windowed_patch_stats(ref, deg, pt, pb)):
+            for a, b in zip(patch_stats(ref, deg, pt, pb), windowed_patch_stats(ref, deg, pt, pb)):
                 assert np.array_equal(a, b)
 
     def test_large_patch_within_tolerance_on_desk(self, desk_pairs):
         # at 8 or more taps along an axis, numpy's pairwise summation
         # regroups the windowed reduction's additions
         for ref, deg in desk_pairs:
-            for a, b in zip(_patch_stats(ref, deg, 9, 11), windowed_patch_stats(ref, deg, 9, 11)):
+            for a, b in zip(patch_stats(ref, deg, 9, 11), windowed_patch_stats(ref, deg, 9, 11)):
                 assert np.max(np.abs(a - b)) <= 1e-12
 
     @given(
@@ -77,7 +84,7 @@ class TestPatchStats:
         rng = np.random.default_rng(seed)
         ref = rng.standard_normal((t + pt - 1, b + pb - 1)) * 3.0
         deg = ref + rng.standard_normal(ref.shape)
-        for a, w in zip(_patch_stats(ref, deg, pt, pb), windowed_patch_stats(ref, deg, pt, pb)):
+        for a, w in zip(patch_stats(ref, deg, pt, pb), windowed_patch_stats(ref, deg, pt, pb)):
             assert a.shape == w.shape == (t, b)
             if b > 1:
                 assert np.array_equal(a, w)
@@ -88,6 +95,23 @@ class TestPatchStats:
 
 
 class TestNsim:
+    def test_equals_patch_formula_on_desk(self, desk_pairs):
+        # the prepared reference changes where the reference's statistics are
+        # computed, not the score: every patch, the utterance mean and the
+        # excursion match the formula over windowed statistics bit for bit
+        for ref, deg in desk_pairs:
+            mu_r, mu_d, var_r, var_d, cov = windowed_patch_stats(ref, deg, 3, 3)
+            L = ref.max() - ref.min()
+            c1, c3 = 0.01 * L, (0.03 * L) ** 2
+            luminance = (2 * mu_r * mu_d + c1) / (mu_r**2 + mu_d**2 + c1)
+            sigmas = np.sqrt(np.maximum(var_r, 0.0)) * np.sqrt(np.maximum(var_d, 0.0))
+            q = luminance * ((cov + c3) / (sigmas + c3))
+            score = nsim(spec_of(ref), spec_of(deg))
+            utt = float(np.mean(q))
+            assert np.array_equal(score.patch_scores, np.clip(q, 0.0, 1.0))
+            assert score.utterance == min(max(utt, 0.0), 1.0)
+            assert score.max_excursion == max(float(np.max(q)) - 1.0, -utt, utt - 1.0, 0.0)
+
     def test_identity_is_one(self):
         rng = np.random.default_rng(0)
         s = spec_of(rng.standard_normal((20, 8)))
@@ -174,16 +198,35 @@ class TestUtteranceNsim:
         )
 
     def test_spectrogram_reference_equals_waveform_reference(self):
+        # a reference prepared from the spectrogram scores every clip as the
+        # waveform does: equal frame counts, the degraded clip a frame
+        # shorter (the reference is prepared again from its trimmed values)
+        # or a frame longer, and a constant reference
         u = make_utterance(8)
+        silent = Waveform(np.zeros(len(u.samples)), u.sample_rate)
         noise = Waveform(white_noise(len(u.samples), np.random.default_rng(12)), u.sample_rate)
-        ref_spec = log_band_spectrogram(u)
-        for deg in (u, mix_noise_at_snr(u, noise, 8), Waveform(u.samples[:-150], u.sample_rate)):
-            assert utterance_nsim(ref_spec, deg) == utterance_nsim(u, deg)
+        noisy = mix_noise_at_snr(u, noise, 8)
+        frames = log_band_spectrogram(u).values.shape[0]
+        cases = [
+            (u, noisy, 0),
+            (u, Waveform(noisy.samples[:-160], u.sample_rate), -1),
+            (u, Waveform(np.concatenate([noisy.samples, noise.samples[:160]]), u.sample_rate), 1),
+            (silent, noisy, 0),
+            (silent, silent, 0),
+        ]
+        for ref, deg, extra in cases:
+            assert log_band_spectrogram(deg).values.shape[0] == frames + extra
+            prepared = prepare_reference(log_band_spectrogram(ref))
+            assert utterance_nsim(prepared, deg) == utterance_nsim(ref, deg)
 
     def test_spectrogram_reference_keeps_frame_rule(self):
         u = make_utterance(9)
         with pytest.raises(ShapeMismatchError):
-            utterance_nsim(log_band_spectrogram(u), Waveform(u.samples[:-480], u.sample_rate))
+            utterance_nsim(prepare_reference(log_band_spectrogram(u)), Waveform(u.samples[:-480], u.sample_rate))
+
+    def test_prepared_reference_too_short_for_a_patch(self):
+        with pytest.raises(PatchTooLargeError):
+            prepare_reference(spec_of(np.ones((2, 5))))
 
     def test_frame_trim_tolerates_one_hop(self):
         u = make_utterance(6)
