@@ -44,24 +44,27 @@ LEVEL_TABLES = {
     "external_codec": [8.0, 16.0, 32.0, 64.0, 128.0],        # kbps
 }
 DEFAULT_FAMILIES = ("clip", "noise", "codec_proxy_mp3like", "codec_proxy_opuslike")
+CLEAN_FAMILY = "clean"  # the manifest family of each source's clean clip
 DEFAULT_NOISE_KIND = "white"  # a key of NOISE_KINDS
 PINK_ROWS = 12  # Voss-McCartney generator rows
 
 
 @dataclass(frozen=True)
 class DegradationCondition:
+    """One level of one family's LEVEL_TABLES entry; it cannot name any other."""
     family: str
     level_index: int
-    level_param: float
 
-    @classmethod
-    def from_table(cls, family: str, level_index: int) -> "DegradationCondition":
-        if family not in LEVEL_TABLES:
-            raise NomadError(f"unknown family {family!r}, expected one of {sorted(LEVEL_TABLES)}")
-        table = LEVEL_TABLES[family]
-        if not 0 <= level_index < len(table):
-            raise NomadError(f"{family} has levels 0-{len(table) - 1}, got {level_index!r}")
-        return cls(family, level_index, table[level_index])
+    def __post_init__(self):
+        if self.family not in LEVEL_TABLES:
+            raise NomadError(f"unknown family {self.family!r}, expected one of {sorted(LEVEL_TABLES)}")
+        table = LEVEL_TABLES[self.family]
+        if not 0 <= self.level_index < len(table):
+            raise NomadError(f"{self.family} has levels 0-{len(table) - 1}, got {self.level_index!r}")
+
+    @property
+    def level_param(self) -> float:
+        return LEVEL_TABLES[self.family][self.level_index]
 
 
 @dataclass
@@ -334,7 +337,7 @@ def synth_dataset(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     conditions = [
-        DegradationCondition.from_table(fam, i)
+        DegradationCondition(fam, i)
         for fam in families
         for i in range(len(LEVEL_TABLES[fam]))
     ]
@@ -351,8 +354,9 @@ def synth_dataset(
             clean_path.unlink(missing_ok=True)  # a skipped source leaves no file
             log.warning("skipping source %s: %s", src, e)
             return []
-        rows = [ManifestRow(str(clean_path), source_id, "clean", 0, 0.0, 1.0)]
+        rows = [ManifestRow(str(clean_path), source_id, CLEAN_FAMILY, 0, 0.0, 1.0)]
         for c in conditions:
+            path = out_dir / degraded_name(source_id, c)
             try:
                 deg = apply_condition(
                     clean, c, seed, source_id,
@@ -360,11 +364,11 @@ def synth_dataset(
                     external_codec_cmd=external_codec_cmd,
                     workdir=out_dir,
                 )
-                path = out_dir / degraded_name(source_id, c)
                 # NSIM measured on what lands on disk (post 16-bit quantization)
                 q = utterance_nsim(reference, save_wav(deg, path))
                 rows.append(ManifestRow(str(path), source_id, c.family, c.level_index, c.level_param, q))
             except Exception as e:  # noqa: BLE001 - skip-and-log policy
+                path.unlink(missing_ok=True)  # a skipped condition leaves no file
                 log.warning("skipping %s %s level %d: %s", source_id, c.family, c.level_index, e)
         return rows
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degrade import ManifestRow
+from .degrade import CLEAN_FAMILY, ManifestRow
 from .errors import DegenerateInputError, JoinEmptyError
 from .score import ScoreRow
 from .table import by_clip_path, column, read_table
@@ -109,7 +109,7 @@ def monotonicity_report(scores: list[ScoreRow], manifest: list[ManifestRow]) -> 
     per_family: dict[str, list[tuple[float, float]]] = {}
     for s in by_clip_path(scores, "score file").values():
         row = by_clip.get(s.clip_path)
-        if row is None or row.family == "clean":
+        if row is None or row.family == CLEAN_FAMILY:
             continue
         per_family.setdefault(row.family, []).append((row.level_param, s.nomad))
     if not per_family:

@@ -9,15 +9,17 @@ input to pooling; each conv is one GEMM per kernel tap over all N clips.
 
 Parameters live in one flat float32 vector. Layout, in order: for each conv
 layer its weight (C_out, C_in, K) then bias (C_out); then the head weight
-(embed_dim, C_last) and head bias (embed_dim). ``_unpack`` alone knows this
-layout; init and gradients are written through its views. All arithmetic is
-float64; parameters are quantized back to float32 after updates so
-checkpoints round-trip bit-exactly. ``_prepare`` converts a parameter vector
-to float64 weights in the kernels' tap-major layout; each model memoizes it,
-so the conversion is paid once per parameter vector, not once per call.
+(embed_dim, C_last) and head bias (embed_dim). ``EncoderConfig._layout``
+alone lists it: ``param_count`` sums it, ``_unpack`` slices it into views, and
+init and gradients write through those views. All arithmetic is float64;
+parameters are quantized back to float32 after updates so checkpoints
+round-trip bit-exactly. ``_prepare`` converts a parameter vector to float64
+weights in the kernels' tap-major layout; each model memoizes it, so the
+conversion is paid once per parameter vector, not once per call.
 """
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -31,6 +33,11 @@ FORMAT_VERSION = 1
 NORM_EPS = 1e-12
 # clips per forward in embed_batch: a default training step's 8 triplets
 EMBED_CHUNK = 24
+# Largest min_frames an encoder may have: 60 s at the front end's 10 ms hop (the
+# default encoder needs 61). Every shorter clip is zero-padded up to min_frames,
+# which grows about as stride ** layers, so without a bound a checkpoint of a few
+# hundred bytes could ask for billions of frames of padding per clip.
+MAX_MIN_FRAMES = 6000
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,9 @@ class EncoderConfig:
         for c in self.conv_channels:
             _check_positive_int("conv_channels entry", c)
         _check_nonnegative_int("init_seed", self.init_seed)
+        if self.min_frames > MAX_MIN_FRAMES:
+            raise ValueError(f"min_frames of kernel {self.kernel} and stride {self.stride} over "
+                             f"{len(self.conv_channels)} layers exceeds {MAX_MIN_FRAMES}")
 
     @property
     def min_frames(self) -> int:
@@ -65,13 +75,14 @@ class EncoderConfig:
         ins = (self.bands,) + self.conv_channels[:-1]
         return list(zip(ins, self.conv_channels))
 
+    def _layout(self):
+        """(weight shape, bias length) per conv layer, then the head's."""
+        blocks = [((c_out, c_in, self.kernel), c_out) for c_in, c_out in self.layer_dims()]
+        return blocks + [((self.embed_dim, self.conv_channels[-1]), self.embed_dim)]
+
     @property
     def param_count(self) -> int:
-        n = 0
-        for c_in, c_out in self.layer_dims():
-            n += c_out * c_in * self.kernel + c_out
-        n += self.embed_dim * self.conv_channels[-1] + self.embed_dim
-        return n
+        return sum(math.prod(w_shape) + n_b for w_shape, n_b in self._layout())
 
 
 @dataclass
@@ -139,19 +150,13 @@ def _conv1d_input_grad(x_shape, taps_t, stride, gz):
 
 
 def _unpack(theta: np.ndarray, cfg: EncoderConfig):
-    layers = []
+    blocks = []
     i = 0
-    for c_in, c_out in cfg.layer_dims():
-        nw = c_out * c_in * cfg.kernel
-        w = theta[i : i + nw].reshape(c_out, c_in, cfg.kernel)
-        i += nw
-        b = theta[i : i + c_out]
-        i += c_out
-        layers.append((w, b))
-    c_last = cfg.conv_channels[-1]
-    wh = theta[i : i + cfg.embed_dim * c_last].reshape(cfg.embed_dim, c_last)
-    i += cfg.embed_dim * c_last
-    bh = theta[i : i + cfg.embed_dim]
+    for w_shape, n_b in cfg._layout():
+        n_w = math.prod(w_shape)
+        blocks.append((theta[i : i + n_w].reshape(w_shape), theta[i + n_w : i + n_w + n_b]))
+        i += n_w + n_b
+    *layers, (wh, bh) = blocks
     return layers, wh, bh
 
 

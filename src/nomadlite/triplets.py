@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_core import _check_nonnegative_int, _check_positive_int
-from .degrade import ManifestRow
+from .degrade import CLEAN_FAMILY, ManifestRow
 from .errors import (
     DataError,
     EmptyNegativeSetError,
@@ -69,7 +69,7 @@ def build_sample_sets(manifest: list[ManifestRow]) -> list[SampleSet]:
     triplet pools. Sources with fewer than MIN_ENTRIES rows are skipped."""
     by_source: dict[str, tuple[list[str], list[float]]] = {}
     for row in by_clip_path(manifest, "manifest").values():
-        if row.family == "clean":
+        if row.family == CLEAN_FAMILY:
             continue
         refs, q = by_source.setdefault(row.source_id, ([], []))
         refs.append(row.clip_path)

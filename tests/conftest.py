@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from nomadlite.audio_core import Waveform
+from nomadlite.net import EncoderConfig
+
+# small enough for finite differences, same structure as the default
+TINY = EncoderConfig(bands=2, conv_channels=(4, 8), kernel=3, stride=2,
+                     embed_dim=8, init_seed=0)
+# full-width input, two narrow layers, so real waveforms embed quickly
+SMALL = EncoderConfig(bands=32, conv_channels=(8, 16), kernel=3, stride=2,
+                      embed_dim=16, init_seed=0)
 
 
 def write_raw_wav(path, pcm_bytes, channels=1, sampwidth=2, rate=16000):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_utterance
+from conftest import TINY, make_utterance
 
 from nomadlite.audio_core import Waveform, load_wav, save_wav
 from nomadlite.cli import main
@@ -191,7 +191,7 @@ def test_2_nsim_monotonicity():
     for family in DEFAULT_FAMILIES:
         series = []
         for li in range(len(LEVEL_TABLES[family])):
-            cond = DegradationCondition.from_table(family, li)
+            cond = DegradationCondition(family, li)
             vals = [utterance_nsim(w, apply_condition(w, cond, seed=1,
                                                       source_id=f"u{i}"))
                     for i, w in enumerate(clips)]
@@ -257,9 +257,7 @@ def test_3_sampler_vs_brute_force():
 
 def test_4_gradient_gate():
     t0 = time.monotonic()
-    tiny = EncoderConfig(bands=2, conv_channels=(4, 8), kernel=3, stride=2,
-                         embed_dim=8, init_seed=0)
-    model = init_model(tiny)
+    model = init_model(TINY)
     rng = np.random.default_rng(0)
 
     def rand_spec(t=12):
@@ -271,13 +269,13 @@ def test_4_gradient_gate():
     _, grad = loss_and_gradients(model, batch, 1.0)
 
     def loss_at(theta):
-        probe = EmbeddingModel(theta.astype(np.float32), tiny)
+        probe = EmbeddingModel(theta.astype(np.float32), TINY)
         probe.parameters = theta
         return loss_and_gradients(probe, batch, 1.0)[0]
 
     h = 1e-6
     worst_triplet = 0.0
-    for i in range(tiny.param_count):  # 204 coordinates
+    for i in range(TINY.param_count):  # 204 coordinates
         tp, tm = theta0.copy(), theta0.copy()
         tp[i] += h
         tm[i] -= h

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from conftest import make_utterance
 from nomadlite import degrade
 from nomadlite.audio_core import Waveform, load_wav, save_wav
 from nomadlite.degrade import (
+    CLEAN_FAMILY,
     DEFAULT_FAMILIES,
     PINK_ROWS,
     _analyzed,
@@ -273,14 +276,14 @@ class TestApplyCondition:
     def test_bit_identical_reruns(self, utterances):
         u = utterances[4]
         for family in DEFAULT_FAMILIES + ("reverb_probe",):
-            c = DegradationCondition.from_table(family, 2)
+            c = DegradationCondition(family, 2)
             a = apply_condition(u, c, seed=7, source_id="u4")
             b = apply_condition(u, c, seed=7, source_id="u4")
             assert np.array_equal(a.samples, b.samples), family
 
     def test_noise_level_index_maps_to_snr(self, utterances):
         u = utterances[5]
-        c = DegradationCondition.from_table("noise", 4)
+        c = DegradationCondition("noise", 4)
         assert c.level_param == 40.0
         y = apply_condition(u, c, seed=1, source_id="u5")
         resid = y.samples - u.samples
@@ -288,18 +291,18 @@ class TestApplyCondition:
         assert abs(measured - 40.0) < 1e-6
 
     def test_missing_external_encoder(self, utterances):
-        c = DegradationCondition.from_table("external_codec", 0)
+        c = DegradationCondition("external_codec", 0)
         with pytest.raises(MissingEncoderError):
             apply_condition(utterances[0], c, seed=0, source_id="x")
 
     def test_external_codec_nonzero_exit(self, utterances, tmp_path):
-        c = DegradationCondition.from_table("external_codec", 0)
+        c = DegradationCondition("external_codec", 0)
         with pytest.raises(EncoderFailedError, match="exited 1"):
             apply_condition(utterances[0], c, seed=0, source_id="x",
                             external_codec_cmd="false {in} {out}", workdir=tmp_path)
 
     def test_external_codec_executable_not_found(self, utterances, tmp_path):
-        c = DegradationCondition.from_table("external_codec", 0)
+        c = DegradationCondition("external_codec", 0)
         with pytest.raises(MissingEncoderError, match="not found"):
             apply_condition(utterances[0], c, seed=0, source_id="x",
                             external_codec_cmd=f"{tmp_path / 'no-such-encoder'} {{in}} {{out}}",
@@ -313,13 +316,13 @@ class TestApplyCondition:
         ("cp {kbps[0]} {out}", "bad external codec command"),
     ])
     def test_external_codec_bad_template(self, utterances, tmp_path, template, message):
-        c = DegradationCondition.from_table("external_codec", 0)
+        c = DegradationCondition("external_codec", 0)
         with pytest.raises(NomadError, match=message):
             apply_condition(utterances[0], c, seed=0, source_id="x",
                             external_codec_cmd=template, workdir=tmp_path)
 
     def test_external_codec_passthrough(self, utterances, tmp_path):
-        c = DegradationCondition.from_table("external_codec", 0)
+        c = DegradationCondition("external_codec", 0)
         out = apply_condition(
             utterances[0], c, seed=0, source_id="x",
             external_codec_cmd="cp {in} {out}", workdir=tmp_path,
@@ -329,7 +332,7 @@ class TestApplyCondition:
 
     def test_external_codec_workdir_with_space(self, utterances, tmp_path):
         # each substituted temp path must stay one argument to the command
-        c = DegradationCondition.from_table("external_codec", 0)
+        c = DegradationCondition("external_codec", 0)
         workdir = tmp_path / "with space"
         workdir.mkdir()
         out = apply_condition(
@@ -343,20 +346,33 @@ class TestApplyCondition:
         ("clip", 5, "clip has levels 0-4, got 5"),
         ("clip", -1, "clip has levels 0-4, got -1"),  # used to be the 60 % level
     ])
-    def test_from_table_rejects_unknown_condition(self, family, level, message):
+    def test_constructor_rejects_unknown_condition(self, family, level, message):
         with pytest.raises(NomadError) as e:
-            DegradationCondition.from_table(family, level)
+            DegradationCondition(family, level)
         assert message in str(e.value)
+
+    def test_level_param_reads_table(self):
+        for family, table in LEVEL_TABLES.items():
+            for i, level in enumerate(table):
+                assert DegradationCondition(family, i).level_param == level
+
+    def test_condition_outside_table_cannot_be_built(self):
+        with pytest.raises(TypeError):
+            DegradationCondition("clip", 0, 99.0)  # a level of its own used to be accepted
+        with pytest.raises(NomadError, match="clip has levels 0-4, got 5"):
+            dataclasses.replace(DegradationCondition("clip", 4), level_index=5)
+        with pytest.raises(NomadError, match="unknown family 'clean'"):
+            DegradationCondition(CLEAN_FAMILY, 0)
 
     def test_unknown_noise_kind(self, utterances):
         with pytest.raises(NomadError) as e:
-            apply_condition(utterances[0], DegradationCondition.from_table("noise", 1), seed=0,
+            apply_condition(utterances[0], DegradationCondition("noise", 1), seed=0,
                             noise_kind="brown")
         assert "'brown'" in str(e.value) and "'pink'" in str(e.value)
 
     def test_condition_rng_depends_on_all_keys(self):
-        c0 = DegradationCondition.from_table("noise", 0)
-        c1 = DegradationCondition.from_table("noise", 1)
+        c0 = DegradationCondition("noise", 0)
+        c1 = DegradationCondition("noise", 1)
         a = condition_rng(1, "s", c0).integers(1 << 30)
         assert a != condition_rng(2, "s", c0).integers(1 << 30)
         assert a != condition_rng(1, "t", c0).integers(1 << 30)
@@ -407,7 +423,7 @@ def corpus(tmp_path_factory):
 
 
 def test_source_id_of_reads_both_clip_names():
-    c = DegradationCondition.from_table("noise", 3)
+    c = DegradationCondition("noise", 3)
     for name in (degraded_name("take_2", c), clean_name("take_2")):
         assert source_id_of(Path("/corpus") / name) == "take_2"
 
@@ -502,7 +518,7 @@ class TestSynthDataset:
         for r in rows:
             if r.family == "clean":
                 continue
-            c = DegradationCondition.from_table(r.family, r.level_index)
+            c = DegradationCondition(r.family, r.level_index)
             save_wav(apply_condition(written, c, 7, "a"), tmp_path / "expected.wav")
             assert Path(r.clip_path).read_bytes() == (tmp_path / "expected.wav").read_bytes(), r.clip_path
 
@@ -568,6 +584,23 @@ class TestSynthDataset:
         rows = synth_dataset(clean, tmp_path / "out", seed=0)
         assert {r.source_id for r in rows} == {"src0", "src1"}
         assert not (tmp_path / "out" / "short__clean.wav").exists()
+
+    def test_skipped_condition_leaves_no_file(self, corpus, tmp_path):
+        # the codec appends 0.1 s of silence, so every external_codec level is
+        # written and then skipped: its frame count is not the clean clip's
+        pad = tmp_path / "pad.py"
+        pad.write_text("import sys, wave\n"
+                       "with wave.open(sys.argv[1], 'rb') as f:\n"
+                       "    params, frames = f.getparams(), f.readframes(f.getnframes())\n"
+                       "with wave.open(sys.argv[2], 'wb') as f:\n"
+                       "    f.setparams(params)\n"
+                       "    f.writeframes(frames + bytes(params.sampwidth * params.framerate // 10))\n")
+        out = tmp_path / "out"
+        synth_dataset(corpus, out, seed=0, families=["clip", "external_codec"],
+                      external_codec_cmd=f'"{sys.executable}" "{pad}" {{in}} {{out}}')
+        rows = read_manifest(out / "manifest.csv")
+        assert sorted(r.family for r in rows) == ["clean"] * 2 + ["clip"] * 10
+        assert sorted(str(p) for p in out.glob("*.wav")) == sorted(r.clip_path for r in rows)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, corpus, tmp_path, jobs):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SMALL, TINY
 from nomadlite import net
 from nomadlite.audio_core import Spectrogram
 from nomadlite.errors import BandMismatchError, CorruptCheckpointError
 from nomadlite.net import (
     CHECKPOINT_MAGIC,
+    MAX_MIN_FRAMES,
     EmbeddingModel,
     EncoderConfig,
     embed,
@@ -25,12 +27,12 @@ from nomadlite.net import (
 )
 from nomadlite.train import _sgd_step
 
-# small enough for finite differences, same structure as the default
-TINY = EncoderConfig(bands=2, conv_channels=(4, 8), kernel=3, stride=2,
-                     embed_dim=8, init_seed=0)
-# full-width input, two narrow layers
-SMALL = EncoderConfig(bands=32, conv_channels=(8, 16), kernel=3, stride=2,
-                      embed_dim=16, init_seed=0)
+# five bands, three odd-sized layers, a kernel and stride no other encoder uses
+FIVE_BAND = EncoderConfig(bands=5, conv_channels=(7, 3, 9), kernel=4, stride=3,
+                          embed_dim=6, init_seed=0)
+# min_frames 1e18 + 1 and 9 003 002: four and three layers at a huge stride
+HUGE_STRIDE = [dict(bands=32, conv_channels=(1, 1, 1, 1), kernel=2, stride=10**6, embed_dim=1),
+               dict(bands=32, conv_channels=(1, 1, 1), kernel=2, stride=3000, embed_dim=1)]
 
 
 def spec(values):
@@ -60,6 +62,20 @@ class TestConfigAndInit:
         fields[field] = value
         with pytest.raises(ValueError, match=field):
             EncoderConfig(**fields)
+
+    @pytest.mark.parametrize("fields", HUGE_STRIDE, ids=["stride-1e6", "stride-3000"])
+    def test_min_frames_above_bound_rejected(self, fields):
+        with pytest.raises(ValueError, match=f"min_frames .* exceeds {MAX_MIN_FRAMES}"):
+            EncoderConfig(**fields)
+
+    def test_min_frames_bound_is_inclusive(self):
+        assert EncoderConfig(kernel=MAX_MIN_FRAMES, stride=1, conv_channels=(4,)).min_frames == MAX_MIN_FRAMES
+        with pytest.raises(ValueError, match="min_frames"):
+            EncoderConfig(kernel=MAX_MIN_FRAMES + 1, stride=1, conv_channels=(4,))
+        # the test encoders and the benchmark's small one
+        bench = EncoderConfig(bands=2, conv_channels=(3,), kernel=5, stride=2, embed_dim=4)
+        for cfg in (EncoderConfig(), TINY, SMALL, FIVE_BAND, bench):
+            assert cfg.min_frames <= MAX_MIN_FRAMES
 
     def test_init_matches_param_count(self):
         for cfg in (TINY, EncoderConfig()):
@@ -407,6 +423,18 @@ class TestParameterLayout:
     CONFIGS = [EncoderConfig(), SMALL, TINY]
     IDS = ["default", "small", "tiny"]
 
+    @pytest.mark.parametrize("cfg", CONFIGS + [FIVE_BAND], ids=IDS + ["five-band"])
+    def test_unpack_tiles_param_count(self, cfg):
+        theta = np.arange(cfg.param_count, dtype=np.float64)
+        layers, wh, bh = net._unpack(theta, cfg)
+        views = [a for wb in layers for a in wb] + [wh, bh]
+        assert all(np.shares_memory(v, theta) for v in views)
+        # in layout order, with no gap, overlap or entry left over
+        assert np.array_equal(np.concatenate([v.ravel() for v in views]), theta)
+        assert [(w.shape, b.shape) for w, b in layers] == [
+            ((c_out, c_in, cfg.kernel), (c_out,)) for c_in, c_out in cfg.layer_dims()]
+        assert (wh.shape, bh.shape) == ((cfg.embed_dim, cfg.conv_channels[-1]), (cfg.embed_dim,))
+
     @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
     def test_init_equals_concatenation(self, cfg):
         assert np.array_equal(init_model(cfg).parameters, concatenated_init_model(cfg))
@@ -596,6 +624,18 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
 
+
+    @pytest.mark.parametrize("fields, n", zip(HUGE_STRIDE, [76, 73]), ids=["stride-1e6", "stride-3000"])
+    def test_huge_min_frames_is_corrupt(self, tmp_path, fields, n):
+        # a well-formed file of a few hundred bytes: it used to load, and every
+        # embed then padded each clip to min_frames
+        header = {"format_version": 1, "config": {**fields, "init_seed": 0}, "param_count": n}
+        header_bytes = json.dumps(header).encode("utf-8")
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes
+                         + np.zeros(n, dtype="<f4").tobytes())
+        with pytest.raises(CorruptCheckpointError, match="min_frames"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("init_seed", [-1, "x", True, 2.5])
     def test_bad_init_seed_is_corrupt(self, tmp_path, init_seed):

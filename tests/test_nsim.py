@@ -51,7 +51,7 @@ def desk_pairs():
     pairs = []
     for fam in DEFAULT_FAMILIES:
         for i in range(len(LEVEL_TABLES[fam])):
-            deg = apply_condition(u, DegradationCondition.from_table(fam, i), 1, "src")
+            deg = apply_condition(u, DegradationCondition(fam, i), 1, "src")
             d = log_band_spectrogram(deg).values
             t = min(len(ref), len(d))
             pairs.append((ref[:t], d[:t]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SMALL, TINY
 from nomadlite import net
 from nomadlite import score as score_module
 from nomadlite.audio_core import Waveform
@@ -23,12 +24,6 @@ from nomadlite.score import (
     write_scores,
 )
 from nomadlite.train import _sgd_step
-
-# small but full-width encoder so real waveforms can be scored quickly
-SMALL = EncoderConfig(bands=32, conv_channels=(8, 16), kernel=3, stride=2,
-                      embed_dim=16, init_seed=0)
-TINY = EncoderConfig(bands=2, conv_channels=(4, 8), kernel=3, stride=2,
-                     embed_dim=8, init_seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +106,7 @@ class TestPool:
         e1 = pool.embeddings(model)
         e2 = pool.embeddings(model)
         assert e1 is e2
-        other = init_model(EncoderConfig(bands=32, conv_channels=(8, 16), kernel=3,
-                                         stride=2, embed_dim=16, init_seed=1))
+        other = init_model(replace(SMALL, init_seed=1))
         assert pool.embeddings(other) is not e1
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import TINY
 from nomadlite.audio_core import Spectrogram
 from nomadlite.errors import DataError
-from nomadlite.net import EncoderConfig, init_model, triplet_loss
+from nomadlite.net import init_model, triplet_loss
 from nomadlite.train import (
     EpochRow,
     SpectrogramCache,
@@ -14,9 +15,6 @@ from nomadlite.train import (
     validate,
 )
 from nomadlite.triplets import TripletRecord
-
-TINY = EncoderConfig(bands=2, conv_channels=(4, 8), kernel=3, stride=2,
-                     embed_dim=8, init_seed=0)
 
 
 def spec(rng, t=12, bands=2):
