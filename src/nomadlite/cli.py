@@ -203,21 +203,20 @@ def _cmd_score(args) -> None:
     model = load_checkpoint(args.model)
     clips = wav_files(args.input_dir)
     pool_dir = Path(args.pool_dir)
+    pool = None
     if args.mode == "nmr":
         pool = scoring.ReferencePool([load_wav(r) for r in wav_files(pool_dir)], pool_id=pool_dir.name)
-
-        def score_one(clip):
-            return scoring.ScoreRow(str(clip), scoring.pooled_score(model, load_wav(clip), pool),
-                                    "nmr", pool.pool_id)
-    else:
-        def score_one(clip):
+    rows = []
+    for clip in clips:
+        # fr: a pool of the clip's clean counterpart alone; sorted names load each one once
+        if args.mode == "fr":
             ref_path = pool_dir / degrade.clean_name(degrade.source_id_of(clip))
-            if not ref_path.exists():
-                raise NomadError(f"no clean counterpart {ref_path} for {clip}")
-            value = scoring.full_reference_score(model, load_wav(clip), load_wav(ref_path))
-            return scoring.ScoreRow(str(clip), value, "fr", str(ref_path))
-
-    rows = [score_one(c) for c in clips]
+            if pool is None or pool.pool_id != str(ref_path):
+                if not ref_path.exists():
+                    raise NomadError(f"no clean counterpart {ref_path} for {clip}")
+                pool = scoring.ReferencePool([load_wav(ref_path)], pool_id=str(ref_path))
+        value = scoring.pooled_score(model, load_wav(clip), pool)
+        rows.append(scoring.ScoreRow(str(clip), value, args.mode, pool.pool_id))
     scoring.write_scores(rows, args.out)
     log.info("wrote %d scores to %s", len(rows), args.out)
 

@@ -305,7 +305,7 @@ def clean_name(source_id: str) -> str:
 
 def source_id_of(path) -> str:
     """The source id of a clip named by ``degraded_name`` or ``clean_name``."""
-    return Path(path).stem.split("__")[0]
+    return Path(path).stem.rsplit("__", 1)[0]
 
 
 def synth_dataset(

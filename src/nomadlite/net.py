@@ -203,7 +203,8 @@ def _forward(weights, cfg: EncoderConfig, values_list):
         z = _conv1d_forward(xs[-1], taps, b, cfg.stride)
         xs.append(np.maximum(z, 0.0, out=z))
     pooled = xs[-1].mean(axis=1)
-    z_head = pooled @ wh.T + bh
+    # one product per clip: a 2-D GEMM's BLAS kernel, and so its last bits, depends on N
+    z_head = np.matmul(pooled[:, None, :], wh.T)[:, 0] + bh
     norm = np.maximum(np.linalg.norm(z_head, axis=1), NORM_EPS)[:, None]
     e = z_head / norm
     cache = {"layers": layers, "wh": wh, "xs": xs, "pooled": pooled, "norm": norm, "e": e}

@@ -38,19 +38,19 @@ class ReferencePool:
 
 
 def nomad_distance(model: EmbeddingModel, a: Waveform, b: Waveform) -> float:
-    """Euclidean distance between the two clips' embeddings (bounded by 2)."""
-    return float(np.linalg.norm(_embed_wav(model, a) - _embed_wav(model, b)))
+    """Euclidean distance of the clips' embeddings (bounded by 2), reduced as in pooled_score."""
+    return float(np.linalg.norm(_embed_wav(model, a) - _embed_wav(model, b), axis=-1))
+
+
+# a clip's distance to its own clean counterpart
+full_reference_score = nomad_distance
 
 
 def pooled_score(model: EmbeddingModel, test: Waveform, pool: ReferencePool) -> float:
     """Mean embedding distance from the test clip to every pool member."""
     refs = pool.embeddings(model)
     e = _embed_wav(model, test)
-    return float(np.mean(np.linalg.norm(refs - e, axis=1)))
-
-
-def full_reference_score(model: EmbeddingModel, test: Waveform, clean_counterpart: Waveform) -> float:
-    return nomad_distance(model, test, clean_counterpart)
+    return float(np.mean(np.linalg.norm(refs - e, axis=-1)))
 
 
 def feature_loss(model: EmbeddingModel, clean: Waveform, estimate: Waveform):

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,36 @@ class TestNonCanonicalRate:
         value = full_reference_score(model, self.canonical(deg), self.canonical(ref))
         write_scores([ScoreRow(str(deg), value, "fr", str(ref))], tmp_path / "expect.csv")
         assert out.read_bytes() == (tmp_path / "expect.csv").read_bytes()
+
+
+def test_score_fr_source_name_holding_separator(tmp_path, monkeypatch):
+    # spk1__utt3's clips are scored against its own clean clip, not spk1's
+    import nomadlite.cli as cli
+    clean, data, ckpt, out = (tmp_path / n for n in ("clean", "data", "m.ckpt", "fr.csv"))
+    clean.mkdir()
+    for i, source in enumerate(("spk1", "spk1__utt3")):
+        save_wav(make_utterance(seed=300 + i, duration_s=1.0), clean / f"{source}.wav")
+    model = init_model(EncoderConfig())
+    save_checkpoint(model, ckpt)
+    assert main(["--quiet", "synth", "--clean-dir", str(clean), "--out", str(data),
+                 "--families", "clip"]) == 0
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav", lambda path: loaded.append(path) or load_wav(path))
+    assert main(["--quiet", "score", "--mode", "fr", "--model", str(ckpt), "--input-dir", str(data),
+                 "--pool-dir", str(data), "--out", str(out)]) == 0
+    rows = read_scores(out)
+    assert len(rows) == 2 * 6
+    assert len(loaded) == len(rows) + 2  # each clip, and each source's counterpart once
+    for r in rows:
+        source = "spk1__utt3" if Path(r.clip_path).name.startswith("spk1__utt3__") else "spk1"
+        assert r.pool_id == str(data / f"{source}__clean.wav")
+    assert [r.nomad for r in rows if r.clip_path.endswith("__clean.wav")] == [0.0, 0.0]
+    # byte for byte what full_reference_score gives each clip and its counterpart
+    expect = [ScoreRow(r.clip_path, full_reference_score(model, load_wav(r.clip_path),
+                                                         load_wav(r.pool_id)), "fr", r.pool_id)
+              for r in rows]
+    write_scores(expect, tmp_path / "expect.csv")
+    assert out.read_bytes() == (tmp_path / "expect.csv").read_bytes()
 
 
 # a command line for each command that holds its required flags (global
@@ -303,6 +334,14 @@ class TestConfigFile:
         assert rc == 1 and seen == []
         err = capsys.readouterr().err
         assert str(cfg) in err and repr(key) in err
+
+    def test_required_flag_cannot_come_from_config(self, tmp_path, capsys):
+        # the first parse, before the file is read, already needs every required flag
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"clean_dir={tmp_path}\nout={tmp_path / 'out'}\n")
+        assert main(["--config", str(cfg), "synth"]) == 1
+        assert "required: --clean-dir, --out" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvalOut:

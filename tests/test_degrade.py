@@ -423,9 +423,12 @@ def corpus(tmp_path_factory):
 
 
 def test_source_id_of_reads_both_clip_names():
-    c = DegradationCondition("noise", 3)
-    for name in (degraded_name("take_2", c), clean_name("take_2")):
-        assert source_id_of(Path("/corpus") / name) == "take_2"
+    # a source name may itself hold "__"; no condition name and no "clean" does
+    conditions = [DegradationCondition(family, i)
+                  for family, table in LEVEL_TABLES.items() for i in range(len(table))]
+    for source_id in ("take_2", "a__b", "spk1__utt3"):
+        names = [degraded_name(source_id, c) for c in conditions] + [clean_name(source_id)]
+        assert [source_id_of(Path("/corpus") / name) for name in names] == [source_id] * len(names)
 
 
 class TestSynthDataset:

@@ -19,13 +19,14 @@ from nomadlite.net import (
     embed,
     embed_batch,
     feature_loss_spec,
+    index_triples,
     init_model,
     load_checkpoint,
     loss_and_gradients,
     save_checkpoint,
     triplet_loss,
 )
-from nomadlite.train import _sgd_step
+from nomadlite.train import _sgd_step, validate
 
 # five bands, three odd-sized layers, a kernel and stride no other encoder uses
 FIVE_BAND = EncoderConfig(bands=5, conv_channels=(7, 3, 9), kernel=4, stride=3,
@@ -164,12 +165,13 @@ class TestEmbedBatch:
                  random_spec(rng, 298, cfg.bands)]
         return init_model(cfg), specs
 
-    def test_rows_equal_embed(self, ragged):
+    @pytest.mark.parametrize("chunk", [1, 2, 24])
+    def test_rows_equal_embed(self, ragged, chunk, monkeypatch):
         m, specs = ragged
+        monkeypatch.setattr(net, "EMBED_CHUNK", chunk)
         out = embed_batch(m, specs)
         assert out.shape == (len(specs), m.config.embed_dim)
-        for row, s in zip(out, specs):
-            assert np.max(np.abs(row - embed(m, s))) <= 1e-15
+        assert np.array_equal(out, np.stack([embed(m, s) for s in specs]))
         assert np.array_equal(out[0], out[3])
 
     def test_permuted_input_gives_permuted_rows(self, ragged):
@@ -178,18 +180,37 @@ class TestEmbedBatch:
         assert np.array_equal(embed_batch(m, [specs[i] for i in perm]),
                               embed_batch(m, specs)[perm])
 
-    def test_chunks_of_one_are_embed_exactly(self, ragged, monkeypatch):
-        m, specs = ragged
-        monkeypatch.setattr(net, "EMBED_CHUNK", 1)
-        assert np.array_equal(embed_batch(m, specs), np.stack([embed(m, s) for s in specs]))
-
     def test_more_clips_than_one_chunk(self):
         m = init_model(TINY)
         rng = np.random.default_rng(6)
         specs = [random_spec(rng, 40, 2) for _ in range(net.EMBED_CHUNK + 3)]
-        out = embed_batch(m, specs)
-        for row, s in zip(out, specs):
-            assert np.max(np.abs(row - embed(m, s))) <= 1e-15
+        assert np.array_equal(embed_batch(m, specs), np.stack([embed(m, s) for s in specs]))
+
+    @pytest.mark.parametrize("cfg", [EncoderConfig(), SMALL, TINY, replace(TINY, stride=1), FIVE_BAND],
+                             ids=["default", "small", "tiny", "tiny-stride-1", "five-band"])
+    @pytest.mark.parametrize("batch", ["ragged", "equal"])
+    def test_row_is_the_same_bits_in_any_batch(self, cfg, batch):
+        # the head is one product per clip, so no BLAS kernel choice depends on the batch size
+        rng = np.random.default_rng(8)
+        if batch == "ragged":
+            lengths = rng.integers(cfg.min_frames - 3, cfg.min_frames + 90, 40)
+        else:
+            lengths = [120] * 40
+        specs = [random_spec(rng, int(t), cfg.bands) for t in lengths]
+        m = init_model(cfg)
+        assert np.array_equal(embed_batch(m, specs), np.stack([embed(m, s) for s in specs]))
+
+    def test_validate_is_triplet_loss_over_embed_batch(self):
+        # validate embeds clip by clip; one batched forward gives the same loss exactly
+        m = init_model(EncoderConfig())
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            triples = [tuple(random_spec(rng, 120, m.config.bands) for _ in range(3))
+                       for _ in range(16)]
+            specs, ia, ip, ineg = index_triples(triples)
+            emb = embed_batch(m, specs)
+            expect = float(np.mean(triplet_loss(emb[ia], emb[ip], emb[ineg], 0.2)))
+            assert validate(m, triples, 0.2) == expect
 
     def test_band_mismatch(self, ragged):
         m, specs = ragged
