@@ -39,6 +39,11 @@ def _check_nonnegative_int(name: str, value) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
+def _check_finite_nonnegative(name: str, value) -> None:
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 @dataclass
 class Waveform:
     """Mono PCM audio, amplitudes in [-1, 1]."""
@@ -52,8 +57,7 @@ class Waveform:
             raise ValueError("waveform must be a nonempty 1-d array")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
+        _check_positive_int("sample_rate", self.sample_rate)
 
 
 @dataclass
@@ -116,18 +120,27 @@ def load_wav(path) -> Waveform:
     return Waveform(np.multiply(pcm, 1 / 32768.0, dtype=np.float64), rate)
 
 
+def _quantize(x: np.ndarray, bits: int) -> np.ndarray:
+    """x rounded and clipped to the ``bits``-bit grid over [-1, 1), never -0.0."""
+    scale = 2.0 ** (bits - 1)
+    y = x * scale
+    np.round(y, out=y)
+    np.clip(y, -scale, scale - 1.0, out=y)
+    y += 0.0  # a rounded -0.0 becomes 0.0, the zero a WAV reads back as
+    return np.multiply(y, 1.0 / scale, out=y)  # exact: scale is a power of two
+
+
 def save_wav(w: Waveform, path) -> Waveform:
     """Write 16-bit PCM mono, clipping to the representable range.
 
-    Returns the waveform as written, equal to what ``load_wav(path)`` reads
-    back."""
-    pcm = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
+    Returns the waveform as written: bit for bit what ``load_wav(path)`` reads."""
+    q = _quantize(w.samples, 16)
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(w.sample_rate)
-        f.writeframes(pcm.tobytes())
-    return Waveform(np.multiply(pcm, 1 / 32768.0, dtype=np.float64), w.sample_rate)
+        f.writeframes((q * 32768.0).astype("<i2"))
+    return Waveform(q, w.sample_rate)
 
 
 def _design_lowpass(up: int, down: int) -> np.ndarray:
@@ -151,8 +164,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     the outputs ``m0::up`` share one phase and read input windows ``down``
     apart, so each phase is one matmul over a strided window view.
     """
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
+    _check_positive_int("target_rate", target_rate)
     if target_rate == w.sample_rate:
         return Waveform(w.samples.copy(), w.sample_rate)
     g = np.gcd(target_rate, w.sample_rate)

@@ -6,6 +6,7 @@ feature-loss. Exit codes: 0 success, 1 input/usage error, 2 internal error.
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import make_dataclass
 from pathlib import Path
@@ -158,6 +159,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _make_parents(*paths) -> None:
+    """Create the parent directory of each file a command writes (None: not
+    asked for), before the work, so an output under a regular file fails first."""
+    for path in paths:
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _cmd_synth(args) -> None:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     rows = degrade.synth_dataset(
@@ -178,7 +187,7 @@ def _cmd_triplets(args) -> None:
     records = tri.generate_triplets(sets, cfg, args.count)
     train_recs, val_recs = tri.split_by_source(records, args.split, rng_seed=args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_parents(out / "triplets_train.csv")  # after the manifest: a bad one leaves no directory
     tri.write_triplets(train_recs, out / "triplets_train.csv")
     tri.write_triplets(val_recs, out / "triplets_val.csv")
     log.info("wrote %d train / %d val triplets to %s", len(train_recs), len(val_recs), out)
@@ -189,6 +198,7 @@ def _cmd_train(args) -> None:
         margin=args.margin, batch_size=args.batch, lr=args.lr,
         patience=args.patience, max_epochs=args.max_epochs, seed=args.seed,
     )
+    _make_parents(args.out)
     train_recs = tri.read_triplets(args.triplets)
     val_recs = tri.read_triplets(args.val)
     model, report = training.fit(train_recs, val_recs, cfg)
@@ -200,12 +210,15 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_score(args) -> None:
+    _make_parents(args.out)
     model = load_checkpoint(args.model)
     clips = wav_files(args.input_dir)
     pool_dir = Path(args.pool_dir)
     pool = None
     if args.mode == "nmr":
-        pool = scoring.ReferencePool([load_wav(r) for r in wav_files(pool_dir)], pool_id=pool_dir.name)
+        # named by the directory itself, so "." and ".." give their real names
+        pool_id = os.path.basename(os.path.abspath(pool_dir)) or os.path.abspath(pool_dir)
+        pool = scoring.ReferencePool([load_wav(r) for r in wav_files(pool_dir)], pool_id=pool_id)
     rows = []
     for clip in clips:
         # fr: a pool of the clip's clean counterpart alone; sorted names load each one once
@@ -222,6 +235,7 @@ def _cmd_score(args) -> None:
 
 
 def _cmd_eval_mos(args) -> None:
+    _make_parents(args.out)
     report = evaluate.aggregate_per_condition(
         scoring.read_scores(args.scores), evaluate.read_mos(args.mos)
     )
@@ -232,6 +246,7 @@ def _cmd_eval_mos(args) -> None:
 
 
 def _cmd_eval_rank(args) -> None:
+    _make_parents(args.out)
     result = evaluate.monotonicity_report(
         scoring.read_scores(args.scores), degrade.read_manifest(args.manifest)
     )

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .audio_core import (
-    CANONICAL_RATE, Waveform, _check_positive_int, load_wav, log_band_spectrogram, resample, save_wav, wav_files)
+    CANONICAL_RATE, Waveform, _check_positive_int, _quantize, load_wav, log_band_spectrogram, resample, save_wav,
+    wav_files)
 from .errors import (
     DegenerateSignalError,
     EmptyCorpusError,
@@ -123,14 +124,6 @@ def mix_noise_at_snr(x: Waveform, s: Waveform, snr_db: float) -> Waveform:
     y = g * noise
     y += x.samples
     return Waveform(_limit_peak(y), x.sample_rate)
-
-
-def _quantize(x: np.ndarray, bits: int) -> np.ndarray:
-    scale = 2.0 ** (bits - 1)
-    y = x * scale
-    np.round(y, out=y)
-    y /= scale
-    return np.clip(y, -1.0, 1.0 - 1.0 / scale, out=y)
 
 
 class _Analyzed(Waveform):

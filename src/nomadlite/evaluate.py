@@ -37,11 +37,13 @@ class EvalReport:
     dropped_clips: int = 0
 
 
-def _rank(x: np.ndarray) -> np.ndarray:
-    """Average (fractional) ranks, 1-based, ties share their mean rank."""
+def _rank(x) -> np.ndarray:
+    """Average (fractional) ranks, 1-based, ties share their mean rank, in
+    x's shape (np.unique's inverse is flat in numpy 1.x)."""
+    x = np.asarray(x, dtype=np.float64)
     _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)  # 1-based rank of each group's last member
-    return ((ends - counts + 1 + ends) / 2)[group]
+    return ((ends - counts + 1 + ends) / 2)[group].reshape(x.shape)
 
 
 def pearson(x, y) -> float:
@@ -59,11 +61,7 @@ def pearson(x, y) -> float:
 
 
 def spearman(x, y) -> float:
-    """Pearson correlation of fractional ranks."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-        raise ValueError("inputs must be equal-length 1-d with >= 2 points")
+    """Pearson correlation of fractional ranks; pearson checks the inputs."""
     return pearson(_rank(x), _rank(y))
 
 

@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .audio_core import FRONT_END, Spectrogram, _check_nonnegative_int, _check_positive_int
+from .audio_core import (
+    FRONT_END, Spectrogram, _check_finite_nonnegative, _check_nonnegative_int, _check_positive_int)
 from .errors import BandMismatchError, CorruptCheckpointError, ShapeMismatchError
 
 CHECKPOINT_MAGIC = b"NOMAD1\n"
@@ -310,8 +311,7 @@ def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, m: float):
     """Margin hinge max(d(a, p) - d(a, n) + m, 0) on squared Euclidean
     distances summed over the last axis: a float for one triplet of
     embeddings, an array for stacked rows of triplets."""
-    if not m >= 0:
-        raise ValueError("margin must be >= 0")
+    _check_finite_nonnegative("margin", m)
     d_ap = np.sum((e_a - e_p) ** 2, axis=-1)
     d_an = np.sum((e_a - e_n) ** 2, axis=-1)
     return np.maximum(d_ap - d_an + m, 0.0)
@@ -411,7 +411,7 @@ def load_checkpoint(path) -> EmbeddingModel:
         raise CorruptCheckpointError(
             f"expected {n} weights ({4 * n} bytes), found {len(blob) - off} bytes"
         )
-    params = np.frombuffer(blob[off:], dtype="<f4")
-    if not np.all(np.isfinite(params)):
-        raise CorruptCheckpointError("non-finite weight")
-    return EmbeddingModel(params.copy(), cfg)
+    try:
+        return EmbeddingModel(np.frombuffer(blob[off:], dtype="<f4").copy(), cfg)
+    except ValueError as e:
+        raise CorruptCheckpointError(f"bad weights: {e}") from e

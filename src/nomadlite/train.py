@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_core import (
-    Spectrogram, _check_nonnegative_int, _check_positive_int, load_wav, log_band_spectrogram,
-)
+    Spectrogram, _check_finite_nonnegative, _check_nonnegative_int, _check_positive_int, load_wav,
+    log_band_spectrogram)
 from .errors import DataError
 from .net import (
     EmbeddingModel,
@@ -45,11 +45,7 @@ class TrainConfig:
         for name in ("max_epochs", "patience", "seed"):
             _check_nonnegative_int(name, getattr(self, name))
         for name in ("margin", "lr"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-        if self.patience > self.max_epochs and self.max_epochs > 0:
-            log.warning("patience %d exceeds max_epochs %d", self.patience, self.max_epochs)
+            _check_finite_nonnegative(name, getattr(self, name))
 
 
 @dataclass

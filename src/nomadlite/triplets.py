@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_core import _check_nonnegative_int, _check_positive_int
+from .audio_core import _check_finite_nonnegative, _check_nonnegative_int, _check_positive_int
 from .degrade import CLEAN_FAMILY, ManifestRow
 from .errors import (
     DataError,
@@ -58,8 +58,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         _check_nonnegative_int("rng_seed", self.rng_seed)
-        if not (np.isfinite(self.s) and self.s >= 0):
-            raise ValueError(f"s must be finite and >= 0, got {self.s!r}")
+        _check_finite_nonnegative("s", self.s)
         if not 0.0 <= self.strategy_mix <= 1.0:
             raise ValueError("strategy_mix must be in [0, 1]")
 

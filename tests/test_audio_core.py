@@ -135,6 +135,16 @@ class TestLoadWav:
         assert written.sample_rate == back.sample_rate == 22050
         assert np.array_equal(written.samples, back.samples)
 
+    def test_save_returns_load_bytes_on_ties_overflow_and_tiny_negatives(self, tmp_path):
+        # the grid rounds ties to even and clips past full scale; a tiny negative
+        # rounds to a zero that load_wav reads as +0.0, so it must not come back -0.0
+        ties = (np.arange(-6, 6) + 0.5) / 32768.0
+        x = np.concatenate([ties, [-1.05, 1.05, -1.0, 32767.5 / 32768, -1e-9, -0.4 / 32768, -1e-300, -0.0]])
+        written = save_wav(Waveform(x, 16000), tmp_path / "q.wav")
+        back = load_wav(tmp_path / "q.wav")
+        assert written.samples.tobytes() == back.samples.tobytes()
+        assert not np.signbit(written.samples[written.samples == 0.0]).any()
+
     def test_every_int16_value_scales_as_division(self, tmp_path):
         pcm = np.arange(-32768, 32768, dtype="<i2")
         expected = pcm.astype(np.float64) / 32768.0
@@ -197,6 +207,25 @@ class TestResample:
         w = Waveform(np.zeros(10), 16000)
         with pytest.raises(ValueError):
             resample(w, 0)
+
+    @pytest.mark.parametrize("rate", [22050.5, 16000.0, True])
+    def test_rate_not_an_integer_rejected(self, rate):
+        # 22050.5 used to raise numpy's UFuncTypeError from np.gcd; 16000.0
+        # was taken as the identity, and True as a 1 Hz rate
+        with pytest.raises(ValueError, match="target_rate must be a positive integer"):
+            resample(Waveform(np.zeros(10), 16000), rate)
+
+
+class TestWaveform:
+    @pytest.mark.parametrize("rate", [16000.5, 16000.0, True, 0, -16000])
+    def test_rate_must_be_a_positive_integer(self, rate):
+        # a float rate used to be accepted, and its first spectrogram raised
+        # UFuncTypeError in resample; True was a 1 Hz rate
+        with pytest.raises(ValueError, match="sample_rate must be a positive integer"):
+            Waveform(np.zeros(10), rate)
+
+    def test_numpy_integer_rate_accepted(self):
+        assert Waveform(np.zeros(10), np.int64(8000)).sample_rate == 8000
 
 
 class TestSpectrogram:

@@ -617,6 +617,59 @@ class TestPipeline:
         assert "max_epochs" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("cwd, pool_dir", [("refs", "."), ("refs/inner", "..")])
+    def test_score_pool_named_by_its_directory(self, pipeline, tmp_path, monkeypatch, cwd, pool_dir):
+        # Path(".").name is "" and Path("..").name is "..": every row's pool_id used to be that
+        root, clean, data, ckpt = pipeline
+        write_clean_corpus(tmp_path / "refs", n=2)
+        (tmp_path / "refs" / "inner").mkdir()
+        monkeypatch.chdir(tmp_path / cwd)
+        assert main(["--quiet", "score", "--model", str(ckpt), "--input-dir", str(clean),
+                     "--pool-dir", pool_dir, "--out", str(tmp_path / "scores.csv")]) == 0
+        assert [r.pool_id for r in read_scores(tmp_path / "scores.csv")] == ["refs"] * 4
+
+    def test_train_and_score_create_their_output_directories(self, pipeline, tmp_path):
+        # both used to do all their work, then fail to open the output file
+        root, clean, data, ckpt = pipeline
+        new_ckpt = tmp_path / "new" / "sub" / "model.ckpt"
+        assert main(["--quiet", "--seed", "7", "train", "--triplets", str(root / "triplets_train.csv"),
+                     "--val", str(root / "triplets_val.csv"), "--max-epochs", "1", "--patience", "1",
+                     "--out", str(new_ckpt)]) == 0
+        assert new_ckpt.read_bytes() == ckpt.read_bytes()
+        assert Path(str(new_ckpt) + ".report.csv").is_file()
+        scores = tmp_path / "more" / "sub" / "scores.csv"
+        assert main(["--quiet", "score", "--model", str(ckpt), "--input-dir", str(clean),
+                     "--pool-dir", str(clean), "--out", str(scores)]) == 0
+        assert len(read_scores(scores)) == 4
+
+    @pytest.mark.parametrize("command, work", [
+        ("train", "nomadlite.train.fit"), ("score", "nomadlite.score.pooled_score"),
+        ("eval-mos", "nomadlite.evaluate.aggregate_per_condition"),
+        ("eval-rank", "nomadlite.evaluate.monotonicity_report"),
+    ])
+    def test_out_under_a_file_exits_one_before_the_work(self, pipeline, tmp_path, monkeypatch, capsys,
+                                                         command, work):
+        root, clean, data, ckpt = pipeline
+        write_scores([ScoreRow(str(data / "src0__noise_l0.wav"), 0.5, "nmr", "p")], tmp_path / "s.csv")
+        (tmp_path / "mos.csv").write_text(f"clip_path,condition_id,mos\n{data / 'src0__noise_l0.wav'},c,3\n")
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "out")
+        argv = {
+            "train": ["train", "--triplets", str(root / "triplets_train.csv"),
+                      "--val", str(root / "triplets_val.csv"), "--max-epochs", "1"],
+            "score": ["score", "--model", str(ckpt), "--input-dir", str(clean), "--pool-dir", str(clean)],
+            "eval-mos": ["eval-mos", "--scores", str(tmp_path / "s.csv"), "--mos", str(tmp_path / "mos.csv")],
+            "eval-rank": ["eval-rank", "--scores", str(tmp_path / "s.csv"),
+                          "--manifest", str(data / "manifest.csv")],
+        }[command]
+
+        def work_ran(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(work, work_ran)
+        assert main(["--quiet", *argv, "--out", out]) == 1
+        assert str(tmp_path / "file") in capsys.readouterr().err
+
     def test_triplets_non_finite_nsim_exits_one(self, pipeline, tmp_path, capsys):
         # a NaN label on one level of each of 3 sources used to reach the triplets
         root, clean, data, ckpt = pipeline

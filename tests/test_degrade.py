@@ -9,14 +9,13 @@ import pytest
 
 from conftest import make_utterance
 from nomadlite import degrade
-from nomadlite.audio_core import Waveform, load_wav, save_wav
+from nomadlite.audio_core import Waveform, _quantize, load_wav, save_wav
 from nomadlite.degrade import (
     CLEAN_FAMILY,
     DEFAULT_FAMILIES,
     PINK_ROWS,
     _analyzed,
     _brickwall_lowpass,
-    _quantize,
     LEVEL_TABLES,
     DegradationCondition,
     apply_condition,
@@ -181,6 +180,17 @@ class TestCodecProxy:
                 spec[np.fft.rfftfreq(n, 1 / 16000) > cutoff] = 0.0
                 assert np.array_equal(_brickwall_lowpass(a, cutoff), np.fft.irfft(spec, n=n))
 
+    def test_output_is_the_lowpass_on_the_bits_grid(self, utterances):
+        # the requantizer is audio_core._quantize, save_wav's: bit for bit the formula
+        # degrade used to own, except that its zeros are +0.0 (a WAV stores no sign)
+        u = utterances[0]
+        for flavor, bw in (("mp3like", 280.0), ("opuslike", 340.0)):
+            for kbps in LEVEL_TABLES[f"codec_proxy_{flavor}"]:
+                y = _brickwall_lowpass(_analyzed(u), min(7600.0, bw * math.sqrt(kbps)))
+                scale = 2.0 ** (int(min(14, max(4, math.floor(3 + 1.5 * math.log2(kbps))))) - 1)
+                expected = np.clip(np.round(y * scale) / scale, -1.0, 1.0 - 1.0 / scale)
+                assert codec_proxy(u, kbps, flavor).samples.tobytes() == (expected + 0.0).tobytes()
+
     def test_analyzed_clip_shares_one_spectrum(self):
         w = Waveform(np.random.default_rng(10).uniform(-0.5, 0.5, 4000), 16000)
         a = _analyzed(w)
@@ -223,10 +233,12 @@ class TestInputsUnchanged:
 
     def test_quantize_and_limit_match_out_of_place(self, utterances):
         x = utterances[3].samples * 3.0
-        for bits in (4, 7, 14):
+        for bits in (4, 7, 14, 16):
             scale = 2.0 ** (bits - 1)
             expected = np.clip(np.round(x * scale) / scale, -1.0, 1.0 - 1.0 / scale)
-            assert np.array_equal(_quantize(x, bits), expected)
+            # bit for bit, except that a rounded -0.0 comes back as 0.0
+            assert np.signbit(expected[expected == 0.0]).any()
+            assert _quantize(x, bits).tobytes() == (expected + 0.0).tobytes()
         s = Waveform(np.random.default_rng(5).standard_normal(len(x)), 16000)
         y = mix_noise_at_snr(Waveform(x, 16000), s, 0.0)
         g = math.sqrt(np.mean(x**2) / np.mean(s.samples**2))

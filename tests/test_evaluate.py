@@ -96,6 +96,20 @@ class TestSpearman:
             spearman([2, 2, 2], [1, 2, 3])
 
 
+@pytest.mark.parametrize("x, y", [
+    ([[1.0, 2.0], [3.0, 4.0]], [[4.0, 1.0], [2.0, 3.0]]),  # 2-d, equal shapes
+    ([1.0, 2.0], [1.0, 2.0, 3.0]),
+    ([1.0], [2.0]),
+    (3.0, 4.0),
+])
+def test_pearson_and_spearman_reject_the_same_inputs(x, y):
+    # spearman ranks in the input's shape, so pearson's check sees a 2-d input
+    # as 2-d also where np.unique's inverse is flat (numpy 1.x)
+    for correlation in (pearson, spearman):
+        with pytest.raises(ValueError, match=r"^inputs must be equal-length 1-d with >= 2 points$"):
+            correlation(x, y)
+
+
 class TestAggregate:
     def fixture_rows(self):
         # two conditions, three clips each, plus one unmatched clip

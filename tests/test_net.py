@@ -274,6 +274,12 @@ class TestTripletLoss:
         with pytest.raises(ValueError, match="margin"):
             triplet_loss(a, a, a, float("nan"))
 
+    def test_infinite_margin_rejected(self):
+        # it used to return inf, although TrainConfig rejects the same margin
+        a = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="margin must be finite and nonnegative, got inf"):
+            triplet_loss(a, a, a, float("inf"))
+
     def test_stacked_rows_equal_per_row_calls(self):
         rng = np.random.default_rng(0)
         e_a, e_p, e_n = rng.standard_normal((3, 50, 16)) * 0.3
@@ -626,7 +632,8 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[-4:] = np.array([np.inf], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptCheckpointError):
+        # EmbeddingModel's own check, mapped as the config's is
+        with pytest.raises(CorruptCheckpointError, match="bad weights: non-finite parameters"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("header", [

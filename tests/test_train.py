@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,13 @@ class TestTrainConfig:
 
     def test_zero_patience_allowed(self):
         assert TrainConfig(patience=0).patience == 0
+
+    def test_patience_beyond_max_epochs_is_silent(self, caplog):
+        # the CLI's default patience (50) used to log a warning for every run
+        # shorter than 50 epochs, also under --quiet
+        with caplog.at_level(logging.DEBUG):
+            assert TrainConfig(patience=50, max_epochs=3).patience == 50
+        assert caplog.records == []
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["margin", "lr"])
