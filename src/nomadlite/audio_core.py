@@ -46,10 +46,17 @@ def _check_finite_nonnegative(name: str, value) -> None:
 
 @dataclass
 class Waveform:
-    """Mono PCM audio, amplitudes in [-1, 1]."""
+    """Mono PCM audio, amplitudes in [-1, 1].
+
+    A waveform whose samples nobody can write, such as every one that
+    ``load_wav`` and ``save_wav`` return, carries its spectrogram once
+    ``log_band_spectrogram`` has computed it."""
 
     samples: np.ndarray
     sample_rate: int
+    # (samples, sample_rate, read-only spectrogram values) of the last
+    # front-end pass over samples that nobody can write
+    _spectrogram: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -117,7 +124,9 @@ def load_wav(path) -> Waveform:
     pcm = np.frombuffer(raw, dtype="<i2")
     if pcm.size < 1:
         raise CorruptHeaderError(f"{path}: no audio frames")
-    return Waveform(np.multiply(pcm, 1 / 32768.0, dtype=np.float64), rate)
+    samples = np.multiply(pcm, 1 / 32768.0, dtype=np.float64)
+    samples.flags.writeable = False
+    return Waveform(samples, rate)
 
 
 def _quantize(x: np.ndarray, bits: int) -> np.ndarray:
@@ -133,13 +142,15 @@ def _quantize(x: np.ndarray, bits: int) -> np.ndarray:
 def save_wav(w: Waveform, path) -> Waveform:
     """Write 16-bit PCM mono, clipping to the representable range.
 
-    Returns the waveform as written: bit for bit what ``load_wav(path)`` reads."""
+    Returns the waveform as written: bit for bit what ``load_wav(path)`` reads,
+    with read-only samples as there."""
     q = _quantize(w.samples, 16)
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(w.sample_rate)
         f.writeframes((q * 32768.0).astype("<i2"))
+    q.flags.writeable = False
     return Waveform(q, w.sample_rate)
 
 
@@ -217,9 +228,37 @@ _MEL_FILTERBANK = _mel_filterbank(
     FRONT_END.bands, FRONT_END.window, FRONT_END.sample_rate, FRONT_END.fmin, FRONT_END.fmax)
 
 
+def _unwritable(a) -> bool:
+    """Whether nobody can write ``a``: it and every array it views are
+    read-only, and the last of them owns its memory."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
 def log_band_spectrogram(w: Waveform) -> Spectrogram:
     """Hann-windowed STFT power pooled into mel bands, log10 with a floor,
     over the one front end ``FRONT_END``.
+
+    When nobody can write ``w.samples``, the values are computed once and
+    kept on ``w``, read-only; reassigning ``w.samples`` or ``w.sample_rate``
+    computes them again. A writable waveform gets writable values from a
+    fresh pass on every call."""
+    memo = w._spectrogram
+    if memo is not None and memo[0] is w.samples and memo[1] == w.sample_rate:
+        return Spectrogram(memo[2])
+    values = _log_band_values(w)
+    w._spectrogram = None
+    if _unwritable(w.samples):
+        values.flags.writeable = False
+        w._spectrogram = (w.samples, w.sample_rate, values)
+    return Spectrogram(values)
+
+
+def _log_band_values(w: Waveform) -> np.ndarray:
+    """The front end's pass over ``w``.
 
     Frames are windowed and transformed ``FFT_BLOCK_SAMPLES`` at a time into
     one power array; rfft rows are independent, so this equals transforming
@@ -245,4 +284,4 @@ def log_band_spectrogram(w: Waveform) -> Spectrogram:
     values = power @ _MEL_FILTERBANK.T
     np.maximum(values, cfg.power_floor, out=values)
     np.log10(values, out=values)
-    return Spectrogram(values)
+    return values

@@ -18,7 +18,9 @@ def _embed_wav(model: EmbeddingModel, w: Waveform) -> np.ndarray:
 class ReferencePool:
     """Clean reference clips. Their embeddings are computed in one batch and
     cached for the last model seen, keyed by the prepared weights that the
-    model memoizes for its current config and parameters."""
+    model memoizes for its current config and parameters. Loaded references
+    carry their spectrograms, so a new model re-embeds them without the
+    front end."""
 
     references: list[Waveform]
     pool_id: str = "pool"
@@ -38,8 +40,11 @@ class ReferencePool:
 
 
 def nomad_distance(model: EmbeddingModel, a: Waveform, b: Waveform) -> float:
-    """Euclidean distance of the clips' embeddings (bounded by 2), reduced as in pooled_score."""
-    return float(np.linalg.norm(_embed_wav(model, a) - _embed_wav(model, b), axis=-1))
+    """Euclidean distance of the clips' embeddings (bounded by 2), reduced as in
+    pooled_score. Both clips take one ``embed_batch`` call: a clip's embedding
+    is the same bits in any batch."""
+    e_a, e_b = embed_batch(model, [log_band_spectrogram(a), log_band_spectrogram(b)])
+    return float(np.linalg.norm(e_a - e_b, axis=-1))
 
 
 # a clip's distance to its own clean counterpart

@@ -3,6 +3,7 @@ import wave
 import numpy as np
 import pytest
 
+from nomadlite import audio_core
 from nomadlite.audio_core import Waveform
 from nomadlite.net import EncoderConfig
 
@@ -44,3 +45,13 @@ def make_utterance(seed: int, duration_s: float = 3.0, sr: int = 16000) -> Wavef
 @pytest.fixture(scope="session")
 def utterances():
     return [make_utterance(seed) for seed in range(10)]
+
+
+@pytest.fixture
+def front_end_passes(monkeypatch):
+    """The ids of the waveforms that the front end computes a spectrogram
+    of, in call order; a memoized ``log_band_spectrogram`` call adds none."""
+    passes = []
+    compute = audio_core._log_band_values
+    monkeypatch.setattr(audio_core, "_log_band_values", lambda w: passes.append(id(w)) or compute(w))
+    return passes

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import write_raw_wav
+from conftest import make_utterance, write_raw_wav
 from nomadlite.audio_core import (
     SpectrogramConfig,
     _design_lowpass,
@@ -323,3 +323,66 @@ class TestSpectrogram:
             _MEL_FILTERBANK[0, 0] = 1.0
         with pytest.raises(ValueError):
             _HANN[0] = 1.0
+
+
+class TestSpectrogramMemo:
+    """A loaded or written clip carries its spectrogram; any other runs the front end each time."""
+
+    @pytest.fixture
+    def loaded(self, tmp_path):
+        save_wav(make_utterance(1, duration_s=0.5), tmp_path / "a.wav")
+        return load_wav(tmp_path / "a.wav")
+
+    @pytest.mark.parametrize("source", ["load_wav", "save_wav"])
+    def test_loaded_and_written_clips_compute_once(self, tmp_path, front_end_passes, source):
+        written = save_wav(make_utterance(2, duration_s=0.5), tmp_path / "a.wav")
+        w = written if source == "save_wav" else load_wav(tmp_path / "a.wav")
+        first, second = log_band_spectrogram(w), log_band_spectrogram(w)
+        assert front_end_passes == [id(w)]
+        assert np.array_equal(first.values, one_shot_reference(w))
+        assert second.values is first.values
+
+    def test_samples_and_memoized_values_are_read_only(self, loaded, tmp_path):
+        written = save_wav(make_utterance(3, duration_s=0.5), tmp_path / "b.wav")
+        values = log_band_spectrogram(loaded).values
+        for array in (loaded.samples, written.samples, values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.samples *= 0.5
+        assert np.array_equal(log_band_spectrogram(loaded).values, one_shot_reference(loaded))
+
+    def test_writable_waveform_edited_in_place_gives_the_new_spectrogram(self, front_end_passes):
+        w = make_utterance(4, duration_s=0.5)
+        before = log_band_spectrogram(w).values.copy()
+        w.samples *= 0.5
+        after = log_band_spectrogram(w).values
+        assert len(front_end_passes) == 2
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, one_shot_reference(w))
+        assert after.flags.writeable
+
+    @pytest.mark.parametrize("field", ["samples", "sample_rate"])
+    def test_reassigning_samples_or_rate_is_a_miss(self, loaded, front_end_passes, field):
+        log_band_spectrogram(loaded)
+        if field == "samples":
+            half = loaded.samples * 0.5
+            half.flags.writeable = False
+            loaded.samples = half
+        else:
+            loaded.sample_rate = 22050
+        fresh = Waveform(loaded.samples.copy(), loaded.sample_rate)
+        assert np.array_equal(log_band_spectrogram(loaded).values, one_shot_reference(fresh))
+        assert len(front_end_passes) == 2
+        log_band_spectrogram(loaded)  # the new pair is memoized in turn
+        assert len(front_end_passes) == 2
+
+    def test_read_only_view_of_a_writable_array_is_not_memoized(self, front_end_passes):
+        base = make_utterance(5, duration_s=0.5).samples
+        view = base.view()
+        view.flags.writeable = False
+        w = Waveform(view, 16000)
+        log_band_spectrogram(w)
+        base *= 0.5  # writes through the view
+        assert np.array_equal(log_band_spectrogram(w).values, one_shot_reference(w))
+        assert len(front_end_passes) == 2

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from conftest import SMALL, TINY
 from nomadlite import net
 from nomadlite import score as score_module
-from nomadlite.audio_core import Waveform
+from nomadlite.audio_core import Waveform, load_wav, log_band_spectrogram, save_wav
 from nomadlite.errors import EmptyPoolError, ShapeMismatchError
-from nomadlite.net import EmbeddingModel, EncoderConfig, _backward, _forward, _prepare, init_model
+from nomadlite.net import EmbeddingModel, EncoderConfig, _backward, _forward, _prepare, embed, init_model
 from nomadlite.score import (
     ReferencePool,
     ScoreRow,
@@ -73,6 +73,14 @@ class TestDistance:
     def test_full_reference_is_pairwise(self, model):
         a, b = wav(5), wav(6)
         assert full_reference_score(model, a, b) == nomad_distance(model, a, b)
+
+    @pytest.mark.parametrize("durations", [(0.7, 0.7), (0.7, 1.1)], ids=["equal", "ragged"])
+    def test_is_the_norm_of_two_embed_calls(self, durations):
+        # one embed_batch call over both clips gives each clip's own embedding bits
+        model = init_model(EncoderConfig())
+        a, b = wav(7, durations[0]), wav(8, durations[1])
+        e_a, e_b = (embed(model, log_band_spectrogram(w)) for w in (a, b))
+        assert nomad_distance(model, a, b) == float(np.linalg.norm(e_a - e_b, axis=-1))
 
 
 class TestPool:
@@ -225,6 +233,52 @@ class TestFeatureLoss:
         loss, grad = feature_loss(model, wav(40, 0.30), wav(41, 0.33))
         assert np.isfinite(loss) and loss > 0
         assert grad.shape[1] == 32
+
+
+@pytest.fixture
+def loaded(tmp_path):
+    """``load(seed)``: the clip ``wav(seed)`` as read back from a WAV file."""
+    def load(seed):
+        save_wav(wav(seed), tmp_path / f"{seed}.wav")
+        return load_wav(tmp_path / f"{seed}.wav")
+    return load
+
+
+def writable_copy(w):
+    return Waveform(w.samples.copy(), w.sample_rate)
+
+
+class TestFrontEndOncePerClip:
+    """Loaded clips carry their spectrograms through every score call."""
+
+    def test_feature_loss_after_distance_reuses_both_spectrograms(self, model, loaded, front_end_passes):
+        clean, est = loaded(90), loaded(91)
+        distance = full_reference_score(model, est, clean)
+        loss, grad = feature_loss(model, clean, est)
+        assert front_end_passes == [id(est), id(clean)]
+        assert distance == nomad_distance(model, writable_copy(est), writable_copy(clean))
+        loss_w, grad_w = feature_loss(model, writable_copy(clean), writable_copy(est))
+        assert loss == loss_w and np.array_equal(grad, grad_w)
+
+    def test_feature_loss_loop_computes_the_clean_spectrogram_once(self, model, loaded, front_end_passes):
+        clean = loaded(92)
+        estimates = [loaded(s) for s in range(93, 98)]
+        losses = [feature_loss(model, clean, e)[0] for e in estimates]
+        assert front_end_passes == [id(w) for w in [clean, *estimates]]
+        assert losses == [feature_loss(model, writable_copy(clean), writable_copy(e))[0]
+                          for e in estimates]
+
+    def test_pool_reembeds_after_an_sgd_step_without_the_front_end(self, loaded, front_end_passes):
+        model = init_model(SMALL)
+        pool = ReferencePool([loaded(98), loaded(99)], "p")
+        before = pool.embeddings(model).copy()
+        assert len(front_end_passes) == 2
+        _sgd_step(model, np.random.default_rng(0).standard_normal(model.parameters.size), 1e-2)
+        after = pool.embeddings(model)
+        assert len(front_end_passes) == 2
+        assert not np.allclose(after, before)
+        fresh = ReferencePool([writable_copy(w) for w in pool.references], "p")
+        assert np.array_equal(after, fresh.embeddings(model))
 
 
 def two_forward_feature_loss(model, clean_values, est_values):
